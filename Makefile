@@ -7,7 +7,7 @@ BENCH    ?= .
 SEED     ?= 42
 SNAPSHOT ?= BENCH_pr10.json
 
-.PHONY: all build test race vet bench bench-smoke fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability snapshot ci clean
+.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability snapshot ci clean
 
 all: build
 
@@ -31,6 +31,12 @@ bench:
 # benchmark code cannot rot between perf PRs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Component -benchtime 1x $(PKGS)
+
+# The benchmark harness is its own module (benchmark/go.mod), so the root
+# `go build ./...` never compiles it: vet it and run its short tests here so
+# a change to the packages it drives cannot silently break the yardstick.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short fuzz pass over the columnar frame decoder: malformed dictionary /
 # RLE payloads must surface as typed protocol errors, never a panic.
@@ -87,7 +93,7 @@ conformance-durability:
 snapshot:
 	$(GO) run ./cmd/questbench -seed $(SEED) -json $(SNAPSHOT)
 
-ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke fuzz-smoke serve-smoke
+ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke
 
 clean:
 	rm -f BENCH_*.json

@@ -665,6 +665,7 @@ func plannerCounterTable() *eval.Table {
 		{"in-scans", fmt.Sprint(st.InScans)},
 		{"match-scans", fmt.Sprint(st.MatchScans)},
 		{"full-scans", fmt.Sprint(st.FullScans)},
+		{"narrowed-scans", fmt.Sprint(st.NarrowedScans)},
 		{"lazy-index-builds", fmt.Sprint(st.LazyIndexBuilds)},
 		{"join-reorders", fmt.Sprint(st.JoinReorders)},
 		{"hash-joins", fmt.Sprint(st.HashJoins)},

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -263,10 +264,15 @@ func (t *Table) EnsureIndex(column string) (map[string][]int, error) {
 	if ord < 0 {
 		return nil, columnError(t, column)
 	}
+	return t.ensureIndexAt(ord), nil
+}
+
+// ensureIndexAt is EnsureIndex by column ordinal.
+func (t *Table) ensureIndexAt(ord int) map[string][]int {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if idx, ok := t.colIndexes[ord]; ok {
-		return idx, nil
+		return idx
 	}
 	t.indexBuilds++
 	idx := make(map[string][]int)
@@ -278,7 +284,7 @@ func (t *Table) EnsureIndex(column string) (map[string][]int, error) {
 		idx[k] = append(idx[k], i)
 	}
 	t.colIndexes[ord] = idx
-	return idx, nil
+	return idx
 }
 
 // Lookup returns the rows whose column equals v, using (and building) the
@@ -296,11 +302,11 @@ func (t *Table) Lookup(column string, v Value) ([]Row, error) {
 	return out, nil
 }
 
-// LookupOrdinals returns the ordinals of the rows whose column equals v,
-// using (and building) the equality index. The returned slice is shared
-// with the index; callers must treat it as read-only. Primary-key probes
-// are answered straight from pkIndex — no duplicate index build for the
-// most common planner access path.
+// LookupOrdinals returns the ascending ordinals of the rows whose column
+// equals v: ProbeOrdinals with a single probe value, so primary-key probes
+// are answered straight from pkIndex (no duplicate index build for the most
+// common planner access path) and other columns use, and build, the
+// equality index. The returned slice belongs to the caller.
 func (t *Table) LookupOrdinals(column string, v Value) ([]int, error) {
 	if v.IsNull() {
 		// NULL never equals anything; indexes do not record NULL cells.
@@ -310,17 +316,97 @@ func (t *Table) LookupOrdinals(column string, v Value) ([]int, error) {
 	if ord < 0 {
 		return nil, columnError(t, column)
 	}
-	if t.pkIndex != nil && ord == t.Schema.ColumnIndex(t.Schema.PrimaryKey) {
-		if i, ok := t.pkIndex[v.Key()]; ok {
-			return []int{i}, nil
+	ords, _ := t.ProbeOrdinals(nil, ord, []Row{{v}}, 0, -1)
+	return ords, nil
+}
+
+// probeKeyBuf sizes the stack buffer ProbeOrdinals encodes keys into;
+// longer keys (long strings) spill to the heap.
+const probeKeyBuf = 64
+
+// ProbeOrdinals returns, ascending and without duplicates, the ordinals of
+// the rows whose column at ordinal col key-equals (Value.Key) some probe
+// value, the probe values being probes[i][probeCol]. NULL probe values
+// match nothing. A primary-key column is answered from the PK index, any
+// other column from its equality index, built on first use.
+//
+// A counting pass runs first. Once the candidates reach limit (limit < 0:
+// no limit) the probe stops and reports ok=false, so the caller can fall
+// back to a scan without paying for the collection. Otherwise the result
+// is collected into dst, grown at most once to the counted size. Probe
+// values are encoded into a stack buffer and looked up as m[string(buf)],
+// so with enough capacity in dst a probe against a built index allocates
+// nothing. A value equal to the previous non-NULL probe value is looked up
+// once; other repeats count once per occurrence, which can only make the
+// limit trip earlier.
+//
+// Concurrency: the same read-path contract as LookupOrdinals — safe
+// alongside other readers once population is over, never alongside Insert
+// (see Table).
+func (t *Table) ProbeOrdinals(dst []int, col int, probes []Row, probeCol, limit int) (ords []int, ok bool) {
+	pk := t.pkIndex != nil && col == t.Schema.ColumnIndex(t.Schema.PrimaryKey)
+	var idx map[string][]int
+	if !pk {
+		idx = t.ensureIndexAt(col)
+	}
+	var buf [probeKeyBuf]byte
+	// walk looks up every non-NULL probe value that differs from the one
+	// looked up before it, counting the candidates and, when collecting,
+	// appending them to out. It stops once the count reaches limit.
+	walk := func(collect bool, out []int) (int, []int) {
+		n := 0
+		last := Null()
+		for _, r := range probes {
+			v := r[probeCol]
+			if v.IsNull() || v == last {
+				continue
+			}
+			last = v
+			k := v.appendKey(buf[:0])
+			if pk {
+				if o, hit := t.pkIndex[string(k)]; hit {
+					n++
+					if collect {
+						out = append(out, o)
+					}
+				}
+			} else {
+				posting := idx[string(k)]
+				n += len(posting)
+				if collect {
+					out = append(out, posting...)
+				}
+			}
+			if limit >= 0 && n >= limit {
+				break
+			}
 		}
-		return nil, nil
+		return n, out
 	}
-	idx, err := t.EnsureIndex(column)
-	if err != nil {
-		return nil, err
+	n, _ := walk(false, nil)
+	if limit >= 0 && n >= limit {
+		return dst[:0], false
 	}
-	return idx[v.Key()], nil
+	if n == 0 {
+		return dst[:0], true
+	}
+	if cap(dst) < n {
+		dst = make([]int, 0, n)
+	}
+	_, out := walk(true, dst[:0])
+	// Each posting is ascending; several postings need a merge by sort,
+	// and non-adjacent repeats of a probe value leave duplicates.
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
+	w := 1
+	for _, o := range out[1:] {
+		if o != out[w-1] {
+			out[w] = o
+			w++
+		}
+	}
+	return out[:w], true
 }
 
 // DistinctCount returns the number of distinct non-NULL values in a column.

@@ -180,6 +180,31 @@ func (v Value) Key() string {
 	return "?"
 }
 
+// appendKey appends the bytes of v.Key() to dst without building the
+// string, so index probes can encode into a stack buffer and look up with
+// m[string(buf)], which does not allocate.
+func (v Value) appendKey(dst []byte) []byte {
+	switch v.typ {
+	case TypeNull:
+		return append(dst, 0)
+	case TypeInt:
+		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
+	case TypeFloat:
+		if v.f == float64(int64(v.f)) {
+			return strconv.AppendInt(append(dst, 'i'), int64(v.f), 10)
+		}
+		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
+	case TypeString:
+		return append(append(dst, 's'), v.s...)
+	case TypeBool:
+		if v.b {
+			return append(dst, "b1"...)
+		}
+		return append(dst, "b0"...)
+	}
+	return append(dst, '?')
+}
+
 // Compare orders two values. NULL sorts before everything. Numeric types
 // compare by magnitude; strings lexicographically; cross-kind comparisons
 // order by type id so sorting is total.

@@ -73,6 +73,33 @@
 // independent of result size), and Execute stops at OFFSET+LIMIT rows
 // when nothing downstream reorders or merges.
 //
+// # Index-narrowed scans
+//
+// A planned full scan on one side of an inner hash join is narrowed at
+// execution time once the other side is materialized: when the join
+// builds left, the right table's probe scan; when it builds right at the
+// first step, the base table's scan. The scan then reads, through the
+// equality index on its first join-key column (the PK index or one built
+// on demand), only the rows whose key equals the key of some materialized
+// row, instead of every row. It applies when the table has at least
+// LazyIndexThreshold rows, every pushed conjunct of the scan compiled to
+// the vectorized form (interpreted conjuncts can raise per row, and a
+// skipped row must not hide an error), and the candidates stay below
+// len(table)/narrowDivisor; past that bound the probe gives up mid-count
+// and the scan reads every row. LEFT joins never narrow the preserved
+// side. The decision is per execution, from actual sizes: plans, their
+// cache keys, join order and plain EXPLAIN are unchanged, and
+// ExplainAnalyze marks a narrowed scan [narrowed via <column> index].
+//
+// Ordering contract: a narrowed scan emits exactly the rows, in exactly
+// the order, of the full scan it replaces, minus rows no materialized row
+// can join. Candidates are visited in ascending ordinal order, which is
+// the full scan's order, and the index's key equality (Value.Key) is
+// implied by the join's match condition (hashValue equality plus
+// Compare), so no skipped row could have matched. Pushed conjuncts, the
+// join-key re-check and residuals run unchanged, so LIMIT short-circuits,
+// OFFSET and Exists see the same row sequence.
+//
 // Every Result carries the QueryPlan that produced it — annotated with the
 // actual per-operator cardinalities the execution observed, next to the
 // planner's estimates — and Plan/Explain expose the same structure without

@@ -239,6 +239,18 @@ func TestPlannerEquivalenceTableDriven(t *testing.T) {
 		"SELECT DISTINCT genre FROM movie WHERE year > 1990",
 		"SELECT title FROM movie WHERE genre = 'drama' ORDER BY movie_id LIMIT 5",
 		"SELECT title FROM movie ORDER BY year DESC, title, movie_id",
+		// Index-narrowed scans: a small filtered left side narrows the
+		// probe scan of movie (build-left; cast_info carries NULL keys),
+		// and a small right side narrows the base scan of cast_info.
+		`SELECT movie.title, cast_info.role FROM cast_info
+			JOIN movie ON movie.movie_id = cast_info.movie_id
+			WHERE cast_info.cast_id < 40`,
+		`SELECT person.name, cast_info.role FROM cast_info
+			JOIN person ON person.person_id = cast_info.person_id
+			WHERE person.person_id IN (3, 5, 8)`,
+		`SELECT movie.title FROM movie
+			JOIN cast_info ON cast_info.movie_id = movie.movie_id
+			WHERE cast_info.cast_id < 60 AND movie.title LIKE '%river%'`,
 	} {
 		if err := checkEquivalent(db, src); err != nil {
 			t.Error(err)
@@ -365,5 +377,280 @@ func TestPlannerEquivalenceGenerated(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// narrowDB builds the fixture for index-narrowed scans. fact (400 rows,
+// narrowing limit 100) has grp groups of exactly 50, 49 and 51 rows for
+// values 0, 1 and 2, so probe sets land just under, exactly at and over
+// the limit; dim (40 rows, below LazyIndexThreshold and so never narrowed
+// itself) repeats its k values, has NULL ks, and carries f as an integral
+// FLOAT for even ids and a fractional one for odd ids.
+func narrowDB(t testing.TB) *relational.Database {
+	t.Helper()
+	s := relational.NewSchema()
+	for _, ts := range []*relational.TableSchema{
+		{
+			Name: "dim",
+			Columns: []relational.Column{
+				{Name: "id", Type: relational.TypeInt, NotNull: true},
+				{Name: "k", Type: relational.TypeInt},
+				{Name: "f", Type: relational.TypeFloat},
+				{Name: "name", Type: relational.TypeString, NotNull: true},
+			},
+			PrimaryKey: "id",
+		},
+		{
+			Name: "fact",
+			Columns: []relational.Column{
+				{Name: "id", Type: relational.TypeInt, NotNull: true},
+				{Name: "dim_id", Type: relational.TypeInt},
+				{Name: "grp", Type: relational.TypeInt},
+				{Name: "score", Type: relational.TypeFloat},
+				{Name: "note", Type: relational.TypeString},
+			},
+			PrimaryKey:  "id",
+			ForeignKeys: []relational.ForeignKey{{Column: "dim_id", RefTable: "dim", RefColumn: "id"}},
+		},
+	} {
+		if err := s.AddTable(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := relational.MustNewDatabase("narrow", s)
+	I, F, S, N := relational.Int, relational.Float, relational.String_, relational.Null
+	for i := 1; i <= 40; i++ {
+		k := relational.Value(I(int64((i - 1) % 12)))
+		f := relational.Value(F(float64((i-1)%12) + 0.5))
+		if i%2 == 0 {
+			f = F(float64((i - 1) % 12))
+		}
+		if i%7 == 0 {
+			k, f = N(), N()
+		}
+		if err := db.Insert("dim", relational.Row{I(int64(i)), k, f, S(fmt.Sprintf("d%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		var grp relational.Value
+		switch {
+		case i < 50:
+			grp = I(0)
+		case i < 99:
+			grp = I(1)
+		case i < 150:
+			grp = I(2)
+		case i%13 == 0:
+			grp = N()
+		default:
+			grp = I(int64(3 + i%9))
+		}
+		dimID := relational.Value(I(int64(1 + i%40)))
+		if i%11 == 0 {
+			dimID = N()
+		}
+		row := relational.Row{I(int64(i)), dimID, grp, F(float64(i % 15)), S(fmt.Sprintf("n%d", i%5))}
+		if err := db.Insert("fact", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// executeWide runs stmt through the planned executor with narrowing off:
+// the row sequence a narrowed execution must reproduce exactly.
+func executeWide(db *relational.Database, stmt *SelectStmt) (*Result, error) {
+	p, err := planSelect(db, stmt)
+	if err != nil {
+		return nil, err
+	}
+	rc := p.newRunCounts()
+	rc.noNarrow = true
+	rel, _, err := p.materialize(db, rc, -1)
+	if err != nil {
+		return nil, err
+	}
+	return finish(rel, stmt)
+}
+
+// orderedRows renders a result's rows in emission order.
+func orderedRows(res *Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		var b strings.Builder
+		for _, v := range r {
+			b.WriteString(v.Key())
+			b.WriteByte('|')
+		}
+		out[i] = b.String()
+	}
+	return out
+}
+
+// narrowedScans lists "table.column" for every scan an execution narrowed.
+func narrowedScans(res *Result) []string {
+	var out []string
+	for _, sp := range res.Plan.Scans {
+		if sp.NarrowedVia != "" {
+			out = append(out, sp.Table+"."+sp.NarrowedVia)
+		}
+	}
+	return out
+}
+
+// TestPlannerEquivalenceNarrowed pins index-narrowed scans on both sides
+// of the hash join and at their edges. Each statement must narrow exactly
+// the expected scan, emit exactly the row sequence of the same plan run
+// without narrowing (so LIMIT, OFFSET and Exists see the same prefix), and
+// agree with the full-scan reference interpreter.
+func TestPlannerEquivalenceNarrowed(t *testing.T) {
+	db := narrowDB(t)
+	for _, tc := range []struct {
+		src    string
+		narrow string // "table.column" narrowed, "" for a full read
+	}{
+		// (b) build-right at step 0: the small right side narrows the base scan.
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (1, 2)`, "fact.grp"},     // 99 candidates
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (2, 3)`, ""},             // 100: at the limit
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (1, 13)`, "fact.grp"},    // duplicate build keys
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (1, 2, 13)`, ""},         // repeat counted twice
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (1, 7, 14)`, "fact.grp"}, // NULL build keys
+		{`SELECT fact.id FROM fact JOIN dim ON dim.k = fact.grp WHERE dim.id IN (7, 14)`, "fact.grp"},              // only NULLs: empty
+		{`SELECT fact.id, dim.f FROM fact JOIN dim ON dim.f = fact.grp WHERE dim.id IN (2, 4)`, "fact.grp"},        // INT vs integral FLOAT
+		{`SELECT fact.id FROM fact JOIN dim ON dim.f = fact.grp WHERE dim.id IN (3, 5)`, "fact.grp"},               // fractional FLOAT: no match
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.k = fact.grp AND dim.id = fact.dim_id
+			WHERE dim.id IN (1, 2)`, "fact.grp"}, // multi-column: narrowed on the first key only
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.id = fact.dim_id AND dim.k = fact.grp
+			WHERE dim.id IN (1, 2, 13)`, "fact.dim_id"},
+		{`SELECT fact.id FROM fact JOIN dim ON dim.k = fact.grp
+			WHERE dim.id IN (1, 2) AND fact.note LIKE 'n1%' AND fact.note <> 'n3'`, "fact.grp"}, // pushed on narrowed side
+		{`SELECT fact.id FROM fact JOIN dim ON dim.k = fact.grp
+			WHERE dim.id IN (1, 2) AND fact.score + 1 > 3`, ""}, // interpreted pushed conjunct: read in full
+		{`SELECT fact.id, dim.name FROM fact LEFT JOIN dim ON dim.k = fact.grp AND dim.id IN (1, 2)`, ""}, // LEFT: preserved side
+		{`SELECT fact.id, dim.name FROM fact LEFT JOIN dim ON dim.k = fact.grp WHERE dim.id IN (1, 2)`, ""},
+		{`SELECT fact.id, dim.name FROM fact LEFT JOIN dim ON dim.id = fact.id`, ""}, // inner would narrow: 40 candidates
+		{`SELECT fact.id, dim.name FROM fact JOIN dim ON dim.id = fact.id`, "fact.id"},
+		// (a) build-left: the small left side narrows the right probe scan.
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.grp = dim.k WHERE dim.id IN (1, 2)`, "fact.grp"},
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.grp = dim.k WHERE dim.id IN (2, 3)`, ""},
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.grp = dim.k WHERE dim.id IN (1, 7, 13)`, "fact.grp"},
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.score = dim.k WHERE dim.id IN (2, 5)`, "fact.score"}, // FLOAT column, INT keys
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.grp = dim.k
+			WHERE dim.id IN (1, 2) AND fact.note IS NOT NULL AND fact.note LIKE '%2'`, "fact.grp"},
+		{`SELECT dim.name, fact.id FROM dim JOIN fact ON fact.grp = dim.k AND fact.dim_id = dim.id
+			WHERE dim.id IN (1, 2)`, "fact.grp"},
+		// Reordered three-way join: the IN-selected dim drives, fact is
+		// probed build-left through its FK index.
+		{`SELECT d.name, fact.id, d2.name FROM fact JOIN dim d ON d.id = fact.dim_id
+			JOIN dim d2 ON d2.k = fact.grp WHERE d.id IN (3, 4)`, "fact.dim_id"},
+	} {
+		for _, suffix := range []string{"", " LIMIT 3", " LIMIT 2 OFFSET 4", " LIMIT 5 OFFSET 1000"} {
+			src := tc.src + suffix
+			if err := checkEquivalent(db, src); err != nil {
+				t.Error(err)
+				continue
+			}
+			stmt, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Execute(db, stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			want, err := executeWide(db, stmt)
+			if err != nil {
+				t.Fatalf("%s (wide): %v", src, err)
+			}
+			if g, w := orderedRows(got), orderedRows(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+				t.Errorf("%s: narrowed rows differ from the full read:\n  got  %v\n  want %v", src, g, w)
+			}
+			exists, err := Exists(db, stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exists != (len(want.Rows) > 0) {
+				t.Errorf("%s: Exists=%v over %d rows", src, exists, len(want.Rows))
+			}
+			if n := strings.Join(narrowedScans(got), ","); n != tc.narrow {
+				t.Errorf("%s: narrowed %q, want %q\n%s", src, n, tc.narrow, renderPlan(db, stmt, got.Plan))
+			}
+		}
+	}
+}
+
+// TestNarrowedScanProperty checks streamNarrowed against its definition
+// over random keys (INT, integral and fractional FLOAT, NULL) on both
+// sides: a narrowed scan emits exactly the table's rows, in ordinal order,
+// whose key column key-equals some probe value; a scan that falls back
+// emits every row, and a scan must fall back once the distinct candidates
+// alone reach the limit.
+func TestNarrowedScanProperty(t *testing.T) {
+	s := relational.NewSchema()
+	if err := s.AddTable(&relational.TableSchema{
+		Name:       "t",
+		Columns:    []relational.Column{{Name: "id", Type: relational.TypeInt, NotNull: true}, {Name: "k", Type: relational.TypeFloat}},
+		PrimaryKey: "id",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := relational.MustNewDatabase("prop", s)
+	rng := rand.New(rand.NewSource(5))
+	randKey := func() relational.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return relational.Null()
+		case 1:
+			return relational.Float(float64(rng.Intn(40)) + 0.5)
+		case 2:
+			return relational.Float(float64(rng.Intn(40)))
+		}
+		return relational.Int(int64(rng.Intn(40)))
+	}
+	for i := 0; i < 600; i++ {
+		if err := db.Insert("t", relational.Row{relational.Int(int64(i)), randKey()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := db.Table("t")
+	n := &scanNode{access: AccessFullScan, vecOK: true}
+	p := &plannedQuery{base: n}
+	for iter := 0; iter < 200; iter++ {
+		probes := make([]relational.Row, rng.Intn(30))
+		keys := make(map[string]bool)
+		for i := range probes {
+			probes[i] = relational.Row{randKey()}
+			if !probes[i][0].IsNull() {
+				keys[probes[i][0].Key()] = true
+			}
+		}
+		var want []relational.Row
+		for _, r := range tbl.Rows() {
+			if !r[1].IsNull() && keys[r[1].Key()] {
+				want = append(want, r)
+			}
+		}
+		rc := &runCounts{scans: make([]int, 1), narrowed: make([]string, 1)}
+		var got []relational.Row
+		if err := p.streamNarrowed(0, n, tbl, 1, probes, 0, rc, func(r relational.Row) error {
+			got = append(got, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rc.narrowed[0] == "" {
+			want = tbl.Rows()
+		} else if len(want) >= tbl.Len()/narrowDivisor {
+			t.Fatalf("narrowed with %d distinct candidates, limit %d", len(want), tbl.Len()/narrowDivisor)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("probes %v: %d rows, want %d", probes, len(got), len(want))
+		}
+		for i := range got {
+			if got[i][0] != want[i][0] {
+				t.Fatalf("probes %v: row %d is id %v, want %v", probes, i, got[i][0], want[i][0])
+			}
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package sql
 
-import (
-	"sort"
-
-	"repro/internal/relational"
-)
+import "repro/internal/relational"
 
 // Cardinality estimation from relational.ColumnStats. This replaces the
 // pre-statistics planner's halving-per-predicate heuristic: equality,
@@ -243,7 +239,3 @@ func equiSelectivity(lv, rv int) float64 {
 	}
 	return 1 / float64(v)
 }
-
-// sortInts sorts ordinals ascending (tiny wrapper so plan.go needs no sort
-// import of its own).
-func sortInts(xs []int) { sort.Ints(xs) }

@@ -145,10 +145,11 @@ func refOf(table, binding string) TableRef {
 // scanLine renders one base-table access: full scans report the real table
 // size, index probes the probe description with the matched-row estimate;
 // pushed-down predicates are shown as a scan-level FILTER. After execution
-// the actual emitted row count follows the estimate, and when the
-// estimate was costed from column statistics their freshness is annotated
-// ([stats: fresh|budget-stale|sampled]) so estimate drift under write
-// traffic is diagnosable.
+// the actual emitted row count follows the estimate, a full scan that the
+// other side of its hash join narrowed says so ([narrowed via <column>
+// index]), and when the estimate was costed from column statistics their
+// freshness is annotated ([stats: fresh|budget-stale|sampled]) so estimate
+// drift under write traffic is diagnosable.
 func scanLine(db *relational.Database, sp ScanPlan) string {
 	tr := refOf(sp.Table, sp.Binding)
 	var s string
@@ -169,6 +170,9 @@ func scanLine(db *relational.Database, sp ScanPlan) string {
 	}
 	if sp.ActualRows >= 0 {
 		s += fmt.Sprintf(" (%d actual rows)", sp.ActualRows)
+	}
+	if sp.NarrowedVia != "" {
+		s += " [narrowed via " + sp.NarrowedVia + " index]"
 	}
 	if sp.StatsFreshness != "" {
 		s += " [stats: " + sp.StatsFreshness + "]"

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,5 +152,53 @@ func TestExplainAnalyzeStatsFreshness(t *testing.T) {
 	db.Table("movie").DropIndexes()
 	if plan := analyze(); !strings.Contains(plan, "[stats: sampled]") {
 		t.Errorf("analyze over a sampled rebuild should say so:\n%s", plan)
+	}
+}
+
+// TestExplainAnalyzeNarrowedScan pins the narrowed-scan annotation: the
+// base scan of cast_info, narrowed by the two selected person rows, says
+// so next to its actual row count, while plain EXPLAIN of the same
+// statement carries no execution-time annotation and is unchanged by the
+// analyzed run.
+func TestExplainAnalyzeNarrowedScan(t *testing.T) {
+	db := eqDB(t)
+	stmt, err := Parse(`SELECT person.name, cast_info.role FROM cast_info
+		JOIN person ON person.person_id = cast_info.person_id
+		WHERE person.person_id IN (3, 5)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := Explain(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzed, err := ExplainAnalyze(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("SCAN cast_info (800 rows) (%d actual rows) [narrowed via person_id index]", res.Plan.Scans[0].ActualRows)
+	if !strings.Contains(analyzed, want) {
+		t.Errorf("analyze missing %q:\n%s", want, analyzed)
+	}
+	after, err := Explain(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(before, "narrowed") || before != after {
+		t.Errorf("plain EXPLAIN must not change or mention narrowing:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	// A LEFT join preserves every base row: no narrowing, although the
+	// 120 person keys select only 120 of the 800 cast_info rows.
+	left, err := Parse(`SELECT person.name, cast_info.role FROM cast_info
+		LEFT JOIN person ON person.person_id = cast_info.cast_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := ExplainAnalyze(db, left); err != nil || strings.Contains(plan, "narrowed") {
+		t.Errorf("LEFT JOIN base scan must read in full (err %v):\n%s", err, plan)
 	}
 }

@@ -65,6 +65,10 @@ type ScanPlan struct {
 	// no column statistics were consulted for this table. ExplainAnalyze
 	// renders it so estimate drift under write traffic is diagnosable.
 	StatsFreshness string
+	// NarrowedVia names the column whose index narrowed this full scan in
+	// the execution ActualRows describes ("" when it read every row, and
+	// always "" in plans that were not executed).
+	NarrowedVia string
 }
 
 // JoinPlan describes one join step over the accumulated left relation.
@@ -116,7 +120,8 @@ type PlannerStats struct {
 	RangeScans         uint64 // scans routed through a sorted-index range
 	InScans            uint64 // scans served by unioned IN-list postings
 	MatchScans         uint64 // scans served by full-text MATCH postings
-	FullScans          uint64
+	FullScans          uint64 // full-scan access paths chosen (at plan time)
+	NarrowedScans      uint64 // full-scan executions narrowed by a hash join (see narrowDivisor)
 	LazyIndexBuilds    uint64 // index builds the planner itself triggered
 	JoinReorders       uint64 // plans whose join order moved off the written order
 	HashJoins          uint64
@@ -131,6 +136,7 @@ type plannerCounters struct {
 	plans, cacheHits, cacheMisses      atomic.Uint64
 	indexScans, fullScans, lazyBuilds  atomic.Uint64
 	rangeScans, inScans, matchScans    atomic.Uint64
+	narrowedScans                      atomic.Uint64
 	joinReorders                       atomic.Uint64
 	hashJoins, nestedLoops, buildSwaps atomic.Uint64
 	pushed, existsFast, limitShort     atomic.Uint64
@@ -149,6 +155,7 @@ func Stats() PlannerStats {
 		InScans:            counters.inScans.Load(),
 		MatchScans:         counters.matchScans.Load(),
 		FullScans:          counters.fullScans.Load(),
+		NarrowedScans:      counters.narrowedScans.Load(),
 		LazyIndexBuilds:    counters.lazyBuilds.Load(),
 		JoinReorders:       counters.joinReorders.Load(),
 		HashJoins:          counters.hashJoins.Load(),
@@ -638,6 +645,7 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 			continue
 		}
 		lits := make([]relational.Value, 0, len(in.List))
+		probes := make([]relational.Row, 0, len(in.List))
 		allLits := true
 		for _, item := range in.List {
 			l, isLit := item.(*Literal)
@@ -649,6 +657,7 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 				continue
 			}
 			lits = append(lits, l.Value)
+			probes = append(probes, relational.Row{l.Value})
 		}
 		if !allLits {
 			continue
@@ -657,10 +666,7 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 		if !t.HasIndex(colName) && !strings.EqualFold(t.Schema.PrimaryKey, colName) {
 			counters.lazyBuilds.Add(1)
 		}
-		ords, err := unionLookups(t, colName, lits)
-		if err != nil {
-			return err
-		}
+		ords, _ := t.ProbeOrdinals(nil, ord, probes, 0, -1) // no limit: never gives up
 		counters.inScans.Add(1)
 		n.access = AccessIndexIn
 		n.idxCol = colName
@@ -796,36 +802,6 @@ func (n *scanNode) finishEstimate(t *relational.Table, base int) {
 	n.est = clampEst(est)
 }
 
-// unionLookups unions the hash-index postings of several probe values into
-// one ascending, deduplicated ordinal list.
-func unionLookups(t *relational.Table, column string, vals []relational.Value) ([]int, error) {
-	seenVal := make(map[string]bool, len(vals))
-	var out []int
-	for _, v := range vals {
-		k := v.Key()
-		if seenVal[k] {
-			continue
-		}
-		seenVal[k] = true
-		ords, err := t.LookupOrdinals(column, v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ords...)
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	sortInts(out)
-	dedup := out[:1]
-	for _, o := range out[1:] {
-		if o != dedup[len(dedup)-1] {
-			dedup = append(dedup, o)
-		}
-	}
-	return dedup, nil
-}
-
 func literalList(vals []relational.Value) string {
 	parts := make([]string, len(vals))
 	for i, v := range vals {
@@ -939,6 +915,7 @@ func (p *plannedQuery) describeActual(rc *runCounts) *QueryPlan {
 	for i := range qp.Scans {
 		if i < len(rc.scans) {
 			qp.Scans[i].ActualRows = rc.scans[i]
+			qp.Scans[i].NarrowedVia = rc.narrowed[i]
 		}
 	}
 	for i := range qp.Joins {
@@ -952,11 +929,16 @@ func (p *plannedQuery) describeActual(rc *runCounts) *QueryPlan {
 // ---- streaming execution ----
 
 // runCounts carries one execution's observed cardinalities: rows emitted by
-// each scan (post pushed-predicate filtering) and surviving each join step.
-// Each execution owns its runCounts, so shared plans stay immutable.
+// each scan (post pushed-predicate filtering) and surviving each join step,
+// and the column each narrowed scan was narrowed through. Each execution
+// owns its runCounts, so shared plans stay immutable.
 type runCounts struct {
-	scans []int
-	joins []int
+	scans    []int
+	joins    []int
+	narrowed []string
+	// noNarrow makes this execution read every planned full scan in full;
+	// the ordered-identity tests compare narrowed runs against it.
+	noNarrow bool
 }
 
 // evalConjuncts reports whether every conjunct evaluates to TRUE for the
@@ -1007,34 +989,90 @@ func joinRefs(steps []*joinStep) []TableRef {
 // its pushed predicates. idx is the scan's position in the plan, used for
 // cardinality accounting when rc is non-nil.
 func (p *plannedQuery) streamScan(idx int, n *scanNode, t *relational.Table, rc *runCounts, emit func(relational.Row) error) error {
+	if n.access != AccessFullScan {
+		return p.scanOrdinals(idx, n, t, n.ords, rc, emit)
+	}
 	if n.vecOK {
 		return p.streamScanVec(idx, n, t, rc, emit)
 	}
 	local := &relation{cols: n.cols}
-	yield := func(row relational.Row) error {
+	for _, row := range t.Rows() {
 		ok, err := evalConjuncts(local, row, n.pushed)
-		if err != nil || !ok {
+		if err != nil {
 			return err
+		}
+		if !ok {
+			continue
 		}
 		if rc != nil {
 			rc.scans[idx]++
 		}
-		return emit(row)
-	}
-	if n.access != AccessFullScan {
-		for _, o := range n.ords {
-			if err := yield(t.Row(o)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, row := range t.Rows() {
-		if err := yield(row); err != nil {
+		if err := emit(row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// scanOrdinals yields the rows at the ascending ordinals ords that pass
+// the scan's pushed predicates, evaluated row by row: the compiled
+// conjuncts when the scan has them, the interpreter otherwise.
+func (p *plannedQuery) scanOrdinals(idx int, n *scanNode, t *relational.Table, ords []int, rc *runCounts, emit func(relational.Row) error) error {
+	var local *relation
+	if !n.vecOK {
+		local = &relation{cols: n.cols}
+	}
+	for _, o := range ords {
+		row := t.Row(o)
+		if n.vecOK {
+			if !vecPass(n.vec, row) {
+				continue
+			}
+		} else if ok, err := evalConjuncts(local, row, n.pushed); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		if rc != nil {
+			rc.scans[idx]++
+		}
+		if err := emit(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// narrowDivisor bounds index-narrowed scans: a planned full scan of table
+// t is narrowed only while its candidate ordinals stay below
+// t.Len()/narrowDivisor. Past that, reading the candidates in ordinal
+// order stops paying for the index probes and the scan falls back to
+// reading every row.
+const narrowDivisor = 4
+
+// streamNarrowed is streamScan for one side of an inner hash join whose
+// other side is already materialized in probes. A planned full scan of a
+// table of at least LazyIndexThreshold rows reads, through the equality
+// index on its column col, only the rows whose col key-equals column
+// keyCol of some probe row — every row the join can match, since
+// Value.Key and the join's hashValue draw the same equivalence — visiting
+// them in ascending ordinal order, which is the full scan's order. The
+// emitted row sequence is therefore exactly the full scan's, minus rows
+// no probe row can join. Scans with pushed conjuncts the interpreter must
+// evaluate stay full: those may raise per row, and a skipped row must not
+// hide an error the full scan would surface.
+func (p *plannedQuery) streamNarrowed(idx int, n *scanNode, t *relational.Table, col int,
+	probes []relational.Row, keyCol int, rc *runCounts, emit func(relational.Row) error) error {
+	if n.access == AccessFullScan && n.vecOK && t.Len() >= LazyIndexThreshold && (rc == nil || !rc.noNarrow) {
+		if ords, ok := t.ProbeOrdinals(nil, col, probes, keyCol, t.Len()/narrowDivisor); ok {
+			counters.narrowedScans.Add(1)
+			if rc != nil {
+				rc.narrowed[idx] = t.Schema.Columns[col].Name
+			}
+			return p.scanOrdinals(idx, n, t, ords, rc, emit)
+		}
+	}
+	return p.streamScan(idx, n, t, rc, emit)
 }
 
 // stream yields the rows of the relation after join step i (i == -1 is the
@@ -1098,7 +1136,8 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 	if st.buildLeft {
 		counters.buildSwaps.Add(1)
 		// Materialize the (smaller) accumulated left side, probe with the
-		// right scan. Inner joins only, so no match tracking is needed.
+		// right scan, narrowed to the rows the left keys can match. Inner
+		// joins only, so no match tracking is needed.
 		var leftRows []relational.Row
 		if err := p.stream(i-1, bt, rc, func(l relational.Row) error {
 			leftRows = append(leftRows, l)
@@ -1149,7 +1188,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 			blk = blk[:0]
 			return nil
 		}
-		if err := p.streamScan(i+1, st.right, bt[i+1], rc, func(rrow relational.Row) error {
+		if err := p.streamNarrowed(i+1, st.right, bt[i+1], st.rk[0], leftRows, st.lk[0], rc, func(rrow relational.Row) error {
 			blk = append(blk, rrow)
 			if len(blk) == joinProbeBlock {
 				return flush()
@@ -1219,13 +1258,23 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		blk = blk[:0]
 		return nil
 	}
-	if err := p.stream(i-1, bt, rc, func(lrow relational.Row) error {
+	probe := func(lrow relational.Row) error {
 		blk = append(blk, lrow)
 		if len(blk) == joinProbeBlock {
 			return flush()
 		}
 		return nil
-	}); err != nil {
+	}
+	var err error
+	if i == 0 && !st.jc.Left {
+		// The probe side is the base scan itself: narrow it like the
+		// build-left probe scan. LEFT joins emit every base row, so they
+		// always read it in full.
+		err = p.streamNarrowed(0, p.base, bt[0], st.lk[0], rightRows, st.rk[0], rc, probe)
+	} else {
+		err = p.stream(i-1, bt, rc, probe)
+	}
+	if err != nil {
 		return err
 	}
 	return flush()
@@ -1257,8 +1306,9 @@ func (p *plannedQuery) run(db *relational.Database, rc *runCounts, emit func(rel
 // newRunCounts sizes a cardinality recorder for the plan.
 func (p *plannedQuery) newRunCounts() *runCounts {
 	return &runCounts{
-		scans: make([]int, len(p.steps)+1),
-		joins: make([]int, len(p.steps)),
+		scans:    make([]int, len(p.steps)+1),
+		joins:    make([]int, len(p.steps)),
+		narrowed: make([]string, len(p.steps)+1),
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 // This file vectorizes the scan's pushed-predicate filter. Pushed
 // conjuncts of simple single-column shapes (column vs literal comparison,
 // LIKE/MATCH against a literal, IS [NOT] NULL, IN over a literal list)
-// compile at plan time into closures over one column ordinal; execution
+// compile at plan time into closures over one column ordinal; a full scan
 // then evaluates them column-wise over blocks of rows with a selection
-// vector, instead of walking the expression tree per row. Compilation is
+// vector, and an ordinal-list scan calls them per row, instead of walking
+// the expression tree per row. Compilation is
 // all-or-nothing per scan: one conjunct outside the compilable shapes and
 // the scan keeps the interpreted row-at-a-time loop, so semantics (and
 // error behaviour — compiled shapes cannot raise) never fork.
@@ -221,9 +222,24 @@ func (p *plannedQuery) compileVec() {
 	}
 }
 
-// streamScanVec is streamScan's vectorized body: rows are filtered in
-// blocks, each compiled conjunct sweeping the survivors of the previous
-// one through a selection vector, and survivors are emitted in row order.
+// vecPass reports whether row passes every compiled conjunct: the per-row
+// form of the filter, for scans that read an ordinal list (index probes,
+// narrowed scans) rather than the table's contiguous rows.
+func vecPass(preds []colPred, row relational.Row) bool {
+	for _, pr := range preds {
+		if !pr.fn(row[pr.ord]) {
+			return false
+		}
+	}
+	return true
+}
+
+// streamScanVec is the vectorized full scan: rows are filtered in blocks,
+// each compiled conjunct sweeping the survivors of the previous one
+// through a selection vector, and survivors are emitted in row order.
+// Ordinal-list scans go through scanOrdinals instead, which filters in
+// place with vecPass: copying their rows into blocks first cost more than
+// the block sweep saved.
 func (p *plannedQuery) streamScanVec(idx int, n *scanNode, t *relational.Table, rc *runCounts, emit func(relational.Row) error) error {
 	sel := make([]int, 0, vecBlock)
 	process := func(rows []relational.Row) error {
@@ -258,19 +274,6 @@ func (p *plannedQuery) streamScanVec(idx int, n *scanNode, t *relational.Table, 
 			}
 		}
 		return nil
-	}
-	if n.access != AccessFullScan {
-		block := make([]relational.Row, 0, min(vecBlock, len(n.ords)))
-		for _, o := range n.ords {
-			block = append(block, t.Row(o))
-			if len(block) == vecBlock {
-				if err := process(block); err != nil {
-					return err
-				}
-				block = block[:0]
-			}
-		}
-		return process(block)
 	}
 	rows := t.Rows()
 	for len(rows) > 0 {
