@@ -1,13 +1,13 @@
 # Build/test/bench entry points. `make ci` is the gate every change must
-# pass; `make bench` + `make snapshot` track the perf trajectory.
+# pass; it includes TestPaperExperimentsGolden, which pins the paper's
+# evaluation (E1–E8). End-to-end performance is measured by benchmark/
+# (`bash benchmark/run.sh`, see benchmark/README.md).
 
-GO       ?= go
-PKGS     ?= ./...
-BENCH    ?= .
-SEED     ?= 42
-SNAPSHOT ?= BENCH_pr10.json
+GO    ?= go
+PKGS  ?= ./...
+BENCH ?= .
 
-.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability snapshot ci clean
+.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability ci
 
 all: build
 
@@ -23,7 +23,7 @@ race:
 vet:
 	$(GO) vet $(PKGS)
 
-# Component + experiment benchmarks with allocation stats.
+# Component micro-benchmarks with allocation stats.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem .
 
@@ -83,17 +83,4 @@ conformance-durability:
 	$(GO) test -race -count=1 -run ConformanceDurability ./internal/conformance
 	$(GO) test -race -count=1 ./internal/wal
 
-# Machine-readable experiment snapshot via questbench: all experiment
-# tables including the E9 executor/planner, prune-path, E10
-# statistics/join-order, E11 sharded-execution, E12 remote-transport/
-# hedged-read, E13 streaming/columnar, E14 replication/failover and E15
-# shard-durability benchmarks and the E16 open-loop serving-tier overload
-# sweep. Committed as BENCH_pr10.json so the perf trajectory is diffable
-# per PR; override SNAPSHOT to write elsewhere.
-snapshot:
-	$(GO) run ./cmd/questbench -seed $(SEED) -json $(SNAPSHOT)
-
 ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke
-
-clean:
-	rm -f BENCH_*.json

@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's evaluation, one set per experiment
-// row of DESIGN.md §3 / EXPERIMENTS.md. Quality numbers are attached via
-// b.ReportMetric so `go test -bench` output doubles as the experiment
-// record; cmd/questbench prints the same tables in report form.
+// Component micro-benchmarks of the engine's building blocks (`make bench`;
+// `make bench-smoke` runs each once so they cannot rot). The paper's
+// evaluation (E1–E8) is pinned by TestPaperExperimentsGolden in
+// internal/eval, and end-to-end performance is measured by benchmark/.
 package quest_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	quest "repro"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/eval"
@@ -25,430 +24,6 @@ import (
 func engineFor(db *quest.Database) *quest.Engine {
 	return quest.Open(db, quest.Defaults())
 }
-
-// ---------------------------------------------------------------------------
-// E1 — schema-based keyword→SQL on growing instances (demo message 1).
-// Latency of the full pipeline as the IMDB instance scales; the schema
-// graph stays constant while the data graph grows.
-
-func benchmarkE1Scale(b *testing.B, scale int) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: scale})
-	eng := engineFor(db)
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates()[:3], 3)
-	if len(w.Queries) == 0 {
-		b.Fatal("empty workload")
-	}
-	b.ReportMetric(float64(db.TotalRows()), "tuples")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := w.Queries[i%len(w.Queries)]
-		if _, err := eng.Search(strings.Join(q.Keywords, " ")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1_SearchIMDB_Scale1(b *testing.B)  { benchmarkE1Scale(b, 1) }
-func BenchmarkE1_SearchIMDB_Scale4(b *testing.B)  { benchmarkE1Scale(b, 4) }
-func BenchmarkE1_SearchIMDB_Scale16(b *testing.B) { benchmarkE1Scale(b, 16) }
-
-// BenchmarkE1_GraphSizes records schema-graph vs data-graph size: the
-// structural scalability argument (schema graph constant, data graph
-// linear in the instance).
-func BenchmarkE1_GraphSizes(b *testing.B) {
-	for _, scale := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
-			db := datasets.IMDB(datasets.Config{Seed: 42, Scale: scale})
-			eng := engineFor(db)
-			var dgNodes int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dg, err := baseline.NewDataGraph(db)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dgNodes = dg.NodeCount()
-			}
-			b.ReportMetric(float64(eng.Backward().Graph().Len()), "schema-nodes")
-			b.ReportMetric(float64(dgNodes), "data-nodes")
-		})
-	}
-}
-
-// BenchmarkE1_StageBreakdown separates forward, backward and combine cost.
-func BenchmarkE1_StageBreakdown(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
-	eng := engineFor(db)
-	keywords := []string{"smith", "drama"}
-	b.Run("forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Configurations(keywords); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	configs, err := eng.Configurations(keywords)
-	if err != nil || len(configs) == 0 {
-		b.Fatalf("no configurations: %v", err)
-	}
-	b.Run("backward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Interpretations(configs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	interps, err := eng.Interpretations(configs)
-	if err != nil || len(interps) == 0 {
-		b.Fatalf("no interpretations: %v", err)
-	}
-	b.Run("combine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Explain(configs, interps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// E2 — module disagreement (demo message 2): the a-priori mode, feedback
-// mode and final combination produce measurably different rankings.
-
-func BenchmarkE2_ModuleDisagreement(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 1})
-	eng := engineFor(db)
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates(), 3)
-	train, test := eval.Split(w)
-	eng.AddFeedback(eval.FeedbackFor(train, len(train.Queries)))
-
-	var agree1, jaccard float64
-	n := 0
-	measure := func() {
-		agree1, jaccard = 0, 0
-		n = 0
-		for _, q := range test.Queries {
-			ap := eng.Forward().TopKApriori(q.Keywords, 10)
-			fb := eng.Forward().TopKFeedback(q.Keywords, 10)
-			if len(ap) == 0 || len(fb) == 0 {
-				continue
-			}
-			n++
-			if ap[0].ID() == fb[0].ID() {
-				agree1++
-			}
-			jaccard += jaccardIDs(ap, fb)
-		}
-		if n > 0 {
-			agree1 /= float64(n)
-			jaccard /= float64(n)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		measure()
-	}
-	b.ReportMetric(agree1, "top1-agreement")
-	b.ReportMetric(jaccard, "jaccard@10")
-}
-
-func jaccardIDs(a, b []*core.Configuration) float64 {
-	as := map[string]bool{}
-	for _, c := range a {
-		as[c.ID()] = true
-	}
-	inter, union := 0, len(as)
-	for _, c := range b {
-		if as[c.ID()] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// ---------------------------------------------------------------------------
-// E3 — schema-level Steiner vs instance-level baselines (demo message 3).
-
-func benchmarkE3System(b *testing.B, dbName string, system string) {
-	cfg := datasets.Config{Seed: 42, Scale: 1}
-	var db *quest.Database
-	var templates []eval.Template
-	switch dbName {
-	case "imdb":
-		db, templates = datasets.IMDB(cfg), eval.IMDBTemplates()
-	case "mondial":
-		db, templates = datasets.Mondial(cfg), eval.MondialTemplates()
-	case "dblp":
-		db, templates = datasets.DBLP(cfg), eval.DBLPTemplates()
-	}
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate(dbName, templates, 3)
-	if len(w.Queries) == 0 {
-		b.Fatal("empty workload")
-	}
-
-	var judge func(q *eval.Query) eval.Judgement
-	switch system {
-	case "quest":
-		eng := engineFor(db)
-		judge = func(q *eval.Query) eval.Judgement {
-			ex, err := eng.Search(strings.Join(q.Keywords, " "))
-			if err != nil {
-				return eval.Judgement{Query: q}
-			}
-			return eval.Judge(q, ex)
-		}
-	case "banks":
-		dg, err := baseline.NewDataGraph(db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix := fulltext.BuildIndex(db)
-		judge = func(q *eval.Query) eval.Judgement {
-			answers, err := dg.Search(ix, q.Keywords, 10)
-			if err != nil {
-				return eval.Judgement{Query: q}
-			}
-			sets := make([][]string, len(answers))
-			for i, a := range answers {
-				sets[i] = a.Tables()
-			}
-			return eval.JudgeTables(q, sets)
-		}
-	case "discover":
-		ix := fulltext.BuildIndex(db)
-		d := baseline.NewDiscover(db, ix)
-		judge = func(q *eval.Query) eval.Judgement {
-			cns, err := d.TopK(q.Keywords, 10, 5)
-			if err != nil {
-				return eval.Judgement{Query: q}
-			}
-			sets := make([][]string, len(cns))
-			for i, cn := range cns {
-				sets[i] = cn.Tables
-			}
-			return eval.JudgeTables(q, sets)
-		}
-	}
-
-	var m eval.Metrics
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		js := make([]eval.Judgement, 0, len(w.Queries))
-		for _, q := range w.Queries {
-			js = append(js, judge(q))
-		}
-		m = eval.Aggregate(js)
-	}
-	b.ReportMetric(m.SuccessAt1, "S@1")
-	b.ReportMetric(m.SuccessAt3, "S@3")
-	b.ReportMetric(m.MRR, "MRR")
-}
-
-func BenchmarkE3_IMDB_QUEST(b *testing.B)       { benchmarkE3System(b, "imdb", "quest") }
-func BenchmarkE3_IMDB_BANKS(b *testing.B)       { benchmarkE3System(b, "imdb", "banks") }
-func BenchmarkE3_IMDB_DISCOVER(b *testing.B)    { benchmarkE3System(b, "imdb", "discover") }
-func BenchmarkE3_Mondial_QUEST(b *testing.B)    { benchmarkE3System(b, "mondial", "quest") }
-func BenchmarkE3_Mondial_BANKS(b *testing.B)    { benchmarkE3System(b, "mondial", "banks") }
-func BenchmarkE3_Mondial_DISCOVER(b *testing.B) { benchmarkE3System(b, "mondial", "discover") }
-func BenchmarkE3_DBLP_QUEST(b *testing.B)       { benchmarkE3System(b, "dblp", "quest") }
-func BenchmarkE3_DBLP_BANKS(b *testing.B)       { benchmarkE3System(b, "dblp", "banks") }
-func BenchmarkE3_DBLP_DISCOVER(b *testing.B)    { benchmarkE3System(b, "dblp", "discover") }
-
-// ---------------------------------------------------------------------------
-// E4 — DS uncertainty adaptation (demo message 4): sweep (OCap, OCf).
-
-func BenchmarkE4_UncertaintySweep(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 1})
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates(), 4)
-	train, test := eval.Split(w)
-
-	for _, setting := range []struct {
-		name      string
-		ocap, ocf float64
-		nFeedback int
-	}{
-		{"trust-apriori-cold", 0.1, 0.9, 0},
-		{"trust-feedback-cold", 0.9, 0.1, 0},
-		{"trust-apriori-warm", 0.1, 0.9, 12},
-		{"trust-feedback-warm", 0.9, 0.1, 12},
-	} {
-		b.Run(setting.name, func(b *testing.B) {
-			opts := quest.Defaults()
-			opts.Uncertainty.OCap = setting.ocap
-			opts.Uncertainty.OCf = setting.ocf
-			eng := quest.Open(db, opts)
-			if setting.nFeedback > 0 {
-				eng.AddFeedback(eval.FeedbackFor(train, setting.nFeedback))
-			}
-			var m eval.Metrics
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m = eval.Aggregate(eval.RunEngine(eng, test))
-			}
-			b.ReportMetric(m.SuccessAt1, "S@1")
-			b.ReportMetric(m.MRR, "MRR")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E5 — few training data (claim from §1): accuracy vs feedback volume for
-// a-priori only, feedback only, and DS-combined.
-
-func BenchmarkE5_FeedbackVolume(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 1})
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates(), 4)
-	train, test := eval.Split(w)
-
-	for _, mode := range []string{"apriori", "feedback", "combined"} {
-		for _, nfb := range []int{0, 4, 12} {
-			if mode == "apriori" && nfb > 0 {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s-fb%d", mode, nfb), func(b *testing.B) {
-				opts := quest.Defaults()
-				switch mode {
-				case "apriori":
-					opts.DisableFeedback = true
-				case "feedback":
-					opts.DisableApriori = true
-				}
-				eng := quest.Open(db, opts)
-				if nfb > 0 {
-					eng.AddFeedback(eval.FeedbackFor(train, nfb))
-				}
-				var m eval.Metrics
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m = eval.Aggregate(eval.RunEngine(eng, test))
-				}
-				b.ReportMetric(m.ConfigMRR, "cfgMRR")
-				b.ReportMetric(m.MRR, "MRR")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E6 — Deep Web: metadata-only wrapper vs full access.
-
-func BenchmarkE6_HiddenVsFull(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 1})
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates()[:4], 3)
-
-	b.Run("full-access", func(b *testing.B) {
-		eng := quest.Open(db, quest.Defaults())
-		var m eval.Metrics
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m = eval.Aggregate(eval.RunEngine(eng, w))
-		}
-		b.ReportMetric(m.SuccessAt3, "S@3")
-		b.ReportMetric(m.MRR, "MRR")
-	})
-	b.Run("metadata-only", func(b *testing.B) {
-		opts := quest.Defaults()
-		opts.UseLike = true
-		eng := quest.OpenHidden(db, quest.DefaultThesaurus(), opts)
-		var m eval.Metrics
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m = eval.Aggregate(eval.RunEngine(eng, w))
-		}
-		b.ReportMetric(m.SuccessAt3, "S@3")
-		b.ReportMetric(m.MRR, "MRR")
-	})
-}
-
-// ---------------------------------------------------------------------------
-// E8 — ablations: Steiner sub-tree pruning and MI edge weights.
-
-func BenchmarkE8_SteinerPruning(b *testing.B) {
-	db := datasets.Mondial(datasets.Config{Seed: 42, Scale: 1})
-	for _, dedup := range []bool{true, false} {
-		name := "dedup-on"
-		if !dedup {
-			name = "dedup-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := quest.Defaults()
-			opts.Backward.Dedup = dedup
-			eng := quest.Open(db, opts)
-			var count int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ex, err := eng.Search("italy city river")
-				if err != nil {
-					b.Fatal(err)
-				}
-				count = len(ex)
-			}
-			b.ReportMetric(float64(count), "explanations")
-		})
-	}
-}
-
-func BenchmarkE8_MIWeights(b *testing.B) {
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 1})
-	g := eval.NewGenerator(db, 7)
-	w := g.Generate("imdb", eval.IMDBTemplates()[:4], 3)
-	for _, mi := range []bool{true, false} {
-		name := "mi-on"
-		if !mi {
-			name = "mi-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := quest.Defaults()
-			opts.Backward.UseMIWeights = mi
-			eng := quest.Open(db, opts)
-			var emptyRate float64
-			var m eval.Metrics
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				js := eval.RunEngine(eng, w)
-				m = eval.Aggregate(js)
-				emptyRate = emptyTopRate(eng, w)
-			}
-			b.ReportMetric(m.MRR, "MRR")
-			b.ReportMetric(emptyRate, "empty-top1")
-		})
-	}
-}
-
-// emptyTopRate measures how often the top explanation's SQL returns no
-// tuples — the failure mode MI weighting is meant to reduce.
-func emptyTopRate(eng *quest.Engine, w *eval.Workload) float64 {
-	empty, n := 0, 0
-	for _, q := range w.Queries {
-		ex, err := eng.Search(strings.Join(q.Keywords, " "))
-		if err != nil || len(ex) == 0 {
-			continue
-		}
-		n++
-		res, err := eng.Execute(ex[0])
-		if err != nil || len(res.Rows) == 0 {
-			empty++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(empty) / float64(n)
-}
-
-// ---------------------------------------------------------------------------
-// Component micro-benchmarks (engine building blocks).
 
 func BenchmarkComponent_FullTextIndexBuild(b *testing.B) {
 	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
@@ -936,11 +511,11 @@ func BenchmarkComponent_FulltextRows(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Statistics/join-order benchmarks (PR 3 scorecard): the Selinger reorder
-// vs the written-order plan on a skewed 3-way join, and the sorted-index /
-// IN-union / MATCH-posting access paths vs the full-scan interpreter.
+// on a skewed 3-way join, and the sorted-index / IN-union / MATCH-posting
+// access paths vs the full-scan interpreter.
 
 // BenchmarkComponent_SQLJoinReorder: fact table written first, selective
-// predicate on the last dimension — the written order joins ~33k rows
+// predicate on the last dimension — the written order would join ~33k rows
 // before filtering, the statistics-driven order starts from one person.
 func BenchmarkComponent_SQLJoinReorder(b *testing.B) {
 	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 16})
@@ -948,25 +523,13 @@ func BenchmarkComponent_SQLJoinReorder(b *testing.B) {
 		JOIN movie ON movie.movie_id = cast_info.movie_id
 		JOIN person ON person.person_id = cast_info.person_id
 		WHERE person.person_id = 33`)
-	b.Run("reordered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sql.Execute(db, stmt); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sql.Execute(db, stmt); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("written-order", func(b *testing.B) {
-		sql.SetJoinReorder(false)
-		defer sql.SetJoinReorder(true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sql.Execute(db, stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkComponent_SQLRangeScan: BETWEEN through the sorted secondary
@@ -1039,8 +602,8 @@ func BenchmarkComponent_MatchPostings(b *testing.B) {
 	})
 }
 
-// BenchmarkComponent_MixedReadWrite: the write-then-read unit E17 drives
-// over HTTP, without the serving tier — one insert into movie followed by
+// BenchmarkComponent_MixedReadWrite: the write-then-read unit of mixed
+// traffic, without the serving tier — one insert into movie followed by
 // a range read whose plan must re-consult that table's statistics and
 // whose scan must see the new row in the sorted index. The incremental
 // sub-benchmark folds the insert into the statistics delta and the

@@ -251,8 +251,7 @@ func (f *Forward) emissions(kw string) []float64 {
 // best-matching attribute reaches 0.95 (relative discrimination between
 // attributes is preserved; zero stays zero), then the whole vector is
 // normalized to sum to 1 — a locally-normalized (maximum-entropy-Markov)
-// variant of the paper's per-attribute normalization coefficient. See
-// DESIGN.md §5.
+// variant of the paper's per-attribute normalization coefficient.
 func (f *Forward) computeEmissions(kw string) []float64 {
 	n := f.space.Len()
 	out := make([]float64, n)

@@ -7,9 +7,9 @@
 //   - DBLP: a large instance over a non-trivial schema (authors, papers,
 //     venues, authorship, citations).
 //
-// Substitution note (see DESIGN.md): the paper demos against live dumps of
-// the real databases; those are not available offline, so these generators
-// produce seeded pseudo-data with the same schema shapes, referential
+// Substitution note: the paper demos against live dumps of the real
+// databases; those are not available offline, so these generators produce
+// seeded pseudo-data with the same schema shapes, referential
 // structure and — importantly for QUEST — controllable lexical ambiguity:
 // tokens deliberately recur across tables (a person surname appearing
 // inside movie titles, a country name inside organization names) so keyword

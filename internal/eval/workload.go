@@ -1,7 +1,8 @@
 // Package eval provides the experiment harness: keyword-query workloads
 // with gold-standard answers sampled from the database instance, quality
-// metrics (Success@k, MRR, precision), and table formatting for the
-// EXPERIMENTS.md reports.
+// metrics (Success@k, MRR, precision), and table formatting. The paper's
+// experiments E1–E8 run over it in TestPaperExperimentsGolden, pinned by
+// testdata/experiments.golden.
 //
 // Workloads replace the human participants of the paper's demonstration:
 // each query is generated from actual tuples, so the intended configuration
@@ -162,7 +163,7 @@ func (g *Generator) instantiate(tpl Template) *Query {
 
 // TemplatesFor maps a dataset name to its workload templates (imdb,
 // mondial; everything else gets the DBLP shapes). Single home for the
-// mapping questbench and queststats share.
+// mapping the experiments golden and queststats share.
 func TemplatesFor(name string) []Template {
 	switch strings.ToLower(name) {
 	case "imdb":

@@ -30,12 +30,11 @@
 // TenantBurst): an empty bucket answers 429 with a Retry-After estimating
 // when one token refills. Load shedding bounds the admitted requests in
 // flight at MaxConcurrent + MaxQueue; past that the server answers 503
-// with Retry-After rather than building an unbounded queue — the open-loop
-// overload experiment (questbench E16) pins what that buys p99 under
-// past-capacity arrival rates. Identical concurrent keyword searches
-// coalesce into one engine call (singleflight) layered on the engine's
-// own query cache, so a thundering herd on a cold key runs the pipeline
-// once.
+// with Retry-After rather than building an unbounded queue, so admitted
+// p99 stays near the at-capacity tail under past-capacity arrival rates.
+// Identical concurrent keyword searches coalesce into one engine call
+// (singleflight) layered on the engine's own query cache, so a thundering
+// herd on a cold key runs the pipeline once.
 //
 // Options.ResponseCacheSize (off by default) adds a response cache in
 // front of the execution path: whole payloads keyed by the
@@ -98,8 +97,7 @@ type Options struct {
 	// MaxQueue bounds how many admitted requests may wait for an
 	// execution slot beyond the MaxConcurrent running ones; an arrival
 	// past MaxConcurrent+MaxQueue is shed with a typed 503. 0 selects 64;
-	// negative disables shedding (unbounded queue — the E16 no-shedding
-	// baseline).
+	// negative disables shedding (unbounded queue).
 	MaxQueue int
 	// TenantRate is each tenant's token-bucket refill rate in requests
 	// per second. 0 selects 50; negative disables rate limiting.
@@ -108,16 +106,16 @@ type Options struct {
 	// once). 0 selects max(1, 2*TenantRate).
 	TenantBurst int
 	// DisableCoalesce turns off singleflight coalescing of identical
-	// concurrent keyword searches (ablation knob; E16 disables it so the
-	// load generator measures uncoalesced engine capacity).
+	// concurrent keyword searches (ablation knob: a load generator that
+	// disables it measures uncoalesced engine capacity).
 	DisableCoalesce bool
 	// ResponseCacheSize caps the response cache (entries). 0 — the
 	// default — disables it: response caching changes what a request
 	// costs, so it is opt-in rather than silently inflating capacity
-	// estimates (E16 measures the uncached path). Entries are
-	// invalidated by per-table versions, so the cache is only effective
-	// over engines whose source exposes wrapper.TableVersioner;
-	// responses from sources without the face are never cached.
+	// estimates. Entries are invalidated by per-table versions, so the
+	// cache is only effective over engines whose source exposes
+	// wrapper.TableVersioner; responses from sources without the face are
+	// never cached.
 	ResponseCacheSize int
 }
 

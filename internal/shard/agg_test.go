@@ -248,14 +248,6 @@ func TestAggPushdownShipsPartialsNotRows(t *testing.T) {
 	if st.RowsShipped > 12 {
 		t.Errorf("aggregate shipped %d rows, want <= 12 partials", st.RowsShipped)
 	}
-	src.SetPushdown(false)
-	src.ResetStats()
-	if _, err := src.Execute(stmt); err != nil {
-		t.Fatal(err)
-	}
-	if ship := src.Stats().RowsShipped; ship != 300 {
-		t.Errorf("ship-rows ablation shipped %d rows, want 300", ship)
-	}
 }
 
 // slowStatsBackend blocks in ColumnStatistics so the test can observe the

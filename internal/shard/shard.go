@@ -122,8 +122,8 @@ type Options struct {
 }
 
 // Stats is a snapshot of a source's coordinator counters, the
-// operator-facing view of what the sharded layer is doing (questbench E11
-// reports them).
+// operator-facing view of what the sharded layer is doing (benchmark/
+// reports them per request).
 type Stats struct {
 	PushdownQueries     uint64 // single-table statements pushed down whole
 	AggPushdownQueries  uint64 // aggregate statements decomposed into per-shard partials
@@ -168,11 +168,6 @@ type ShardedSource struct {
 	ordinals map[string]int
 	workers  int
 	prunable bool
-	// pushdownOff disables predicate pushdown and partition pruning:
-	// fragments ship whole tables. It exists as the A/B ablation knob
-	// behind questbench E11's ship-rows baseline, mirroring
-	// sql.SetJoinReorder.
-	pushdownOff atomic.Bool
 
 	edgeMu    sync.Mutex
 	edgeCache map[string]float64
@@ -298,15 +293,6 @@ func NewFromBackends(name string, schema *relational.Schema, backends []Backend,
 	}
 	s.inserters = ins
 	return s
-}
-
-// SetPushdown enables or disables predicate pushdown and partition pruning
-// and returns the previous setting. Off, every fragment ships its whole
-// table — the ship-rows-to-coordinator baseline questbench E11 measures
-// against. Results are identical either way; only bandwidth and latency
-// move.
-func (s *ShardedSource) SetPushdown(on bool) (was bool) {
-	return !s.pushdownOff.Swap(!on)
 }
 
 // ShardCount returns the number of shards.
@@ -576,7 +562,7 @@ func (s *ShardedSource) forEach(n int, fn func(int)) {
 }
 
 // shardsFor resolves which shards a fragment must visit: all of them,
-// unless pruning is legal (owned shards, pushdown on) and the fragment
+// unless pruning is legal (owned or hash-routed shards) and the fragment
 // pins the table's primary key, in which case only the shards the pinned
 // values route to. Values that cannot coerce to the key's column type fall
 // back to the full set — such a predicate may still match under the
@@ -591,7 +577,7 @@ func (s *ShardedSource) shardsFor(f *sql.TableFragment) []int {
 		}
 		return out
 	}
-	if !s.prunable || s.pushdownOff.Load() || f.PKValues == nil {
+	if !s.prunable || f.PKValues == nil {
 		return all()
 	}
 	ts := s.schema.Table(f.Ref.Table)
@@ -633,16 +619,11 @@ func (s *ShardedSource) Execute(stmt *sql.SelectStmt) (*sql.Result, error) {
 // (remote transport clients) abandon in-flight requests — so a caller
 // that gives up stops paying for shard work promptly.
 func (s *ShardedSource) ExecuteCtx(ctx context.Context, stmt *sql.SelectStmt) (*sql.Result, error) {
-	// The ship-rows ablation routes everything through the gather path: the
-	// single-table fast path delegates WHERE evaluation to the shards, and
-	// with pushdown off only the coordinator filters.
-	if !s.pushdownOff.Load() {
-		if s.fullPushdownOK(stmt) {
-			return s.executePushdown(ctx, stmt)
-		}
-		if plan, ok := planAggPushdown(s.schema, stmt); ok {
-			return s.executeAggPushdown(ctx, stmt, plan)
-		}
+	if s.fullPushdownOK(stmt) {
+		return s.executePushdown(ctx, stmt)
+	}
+	if plan, ok := planAggPushdown(s.schema, stmt); ok {
+		return s.executeAggPushdown(ctx, stmt, plan)
 	}
 	return s.executeGather(ctx, stmt)
 }
@@ -783,13 +764,6 @@ func (s *ShardedSource) executeGather(ctx context.Context, stmt *sql.SelectStmt)
 	frags, err := sql.Fragments(s.schema, stmt)
 	if err != nil {
 		return nil, err
-	}
-	if s.pushdownOff.Load() {
-		for i := range frags {
-			frags[i].Pushed = nil
-			frags[i].PKValues = nil
-			frags[i].Stmt.Where = nil
-		}
 	}
 	type job struct{ frag, shard int }
 	var jobs []job

@@ -213,27 +213,6 @@ func TestPartitionPruning(t *testing.T) {
 	if st := src.Stats(); st.PrunedProbes == 0 {
 		t.Error("IN-list PK restriction pruned nothing")
 	}
-
-	// Pruning is part of pushdown: the ship-rows ablation consults every
-	// shard and ships unfiltered tables, yet answers identically.
-	src.ResetStats()
-	src.SetPushdown(false)
-	defer src.SetPushdown(true)
-	res2, err := src.Execute(mustParse(t, "SELECT title FROM movie WHERE movie_id = 42"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Rows) != 1 {
-		t.Fatalf("ship-rows mode diverged: %d rows, want 1", len(res2.Rows))
-	}
-	st = src.Stats()
-	if st.PrunedProbes != 0 {
-		t.Errorf("ship-rows mode pruned %d probes, want 0", st.PrunedProbes)
-	}
-	if st.RowsShipped < uint64(db.Table("movie").Len()) {
-		t.Errorf("ship-rows mode shipped %d rows, want the whole table (%d)",
-			st.RowsShipped, db.Table("movie").Len())
-	}
 }
 
 func TestShardedInsertRouting(t *testing.T) {

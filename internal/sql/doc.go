@@ -43,8 +43,7 @@
 //     sizes; cross products are only considered when the join graph is
 //     disconnected. Statements past ReorderMaxRelations, LEFT joins
 //     (order is semantics there), SELECT * (column order is the written
-//     order) and unresolvable ON conjuncts keep the written order, as
-//     does everything when SetJoinReorder(false) is in effect.
+//     order) and unresolvable ON conjuncts keep the written order.
 //   - Join strategy. Equi-join conjuncts drive a hash join; the build
 //     side is the side with the smaller cardinality estimate. LEFT joins
 //     always build right so unmatched left rows can be null-extended.
@@ -104,14 +103,14 @@
 // actual per-operator cardinalities the execution observed, next to the
 // planner's estimates — and Plan/Explain expose the same structure without
 // executing; ExplainAnalyze executes and renders estimated vs actual rows.
-// Tests and questbench assert access paths and join orders against it.
+// Tests assert access paths and join orders against it.
 //
 // # Plan cache and invalidation
 //
 // Plans are memoized in a package-level LRU keyed on (database ID, the
-// referenced tables' individual versions, reorder setting, canonical
-// SQL). The per-table-version contract: the key embeds one
-// (table, mutation counter) pair for each table the statement references
+// referenced tables' individual versions, canonical SQL). The
+// per-table-version contract: the key embeds one (table, mutation
+// counter) pair for each table the statement references
 // — and only those — so an Insert into one table makes exactly the
 // cached plans that read it unreachable, while plans over every other
 // table keep serving. Cached index-probe ordinals can therefore never go

@@ -170,25 +170,12 @@ func Stats() PlannerStats {
 // ResetStats zeroes the planner counters (tests and benchmarks).
 func ResetStats() { counters = plannerCounters{} }
 
-// joinReorderOff disables the join-order search when set (benchmarks and
-// ablations compare against the written-order plan). The flag participates
-// in the plan-cache key, so toggling it never serves a plan built under the
-// other setting.
-var joinReorderOff atomic.Bool
-
-// SetJoinReorder enables or disables the Selinger-style join-order search
-// and returns the previous setting. It exists for benchmarks and A/B
-// ablations (questbench E10); production traffic leaves it on.
-func SetJoinReorder(on bool) (was bool) {
-	return !joinReorderOff.Swap(!on)
-}
-
 // planCache memoizes plans across Execute/Exists calls. The key embeds the
 // database identity, the version of every table the statement references
 // (an Insert into a referenced table changes that version, so cached index
 // probes can never serve stale ordinals — while inserts into unreferenced
-// tables leave the key, and the cached plan, untouched), the reorder
-// setting and the canonical SQL text; the engine re-executes cached
+// tables leave the key, and the cached plan, untouched) and the canonical
+// SQL text; the engine re-executes cached
 // explanations on every search, so plan reuse is the common case.
 var planCache = cache.New[string, *plannedQuery](512)
 
@@ -272,12 +259,8 @@ func Plan(db *relational.Database, stmt *SelectStmt) (*QueryPlan, error) {
 // for a statement. The key is the canonical SQL text (re-rendered per call
 // — statements carry no cache slot, and the text is what makes the key
 // independent of pointer identity and mutation) prefixed with the database
-// identity, the per-referenced-table versions and the reorder setting.
+// identity and the per-referenced-table versions.
 func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error) {
-	// The reorder flag is read exactly once and threaded through the whole
-	// build, so a concurrent SetJoinReorder toggle can never cache a plan
-	// built under one setting beneath the other setting's key.
-	reorder := !joinReorderOff.Load()
 	var kb strings.Builder
 	kb.WriteString(strconv.FormatUint(db.ID(), 10))
 	kb.WriteByte(0)
@@ -292,12 +275,6 @@ func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error
 		}
 	}
 	kb.WriteByte(0)
-	if reorder {
-		kb.WriteByte('r')
-	} else {
-		kb.WriteByte('w') // written order
-	}
-	kb.WriteByte(0)
 	kb.WriteString(stmt.SQL())
 	key := kb.String()
 	if p, ok := planCache.Get(key); ok {
@@ -305,7 +282,7 @@ func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error
 		return p, nil
 	}
 	counters.cacheMisses.Add(1)
-	p, err := buildPlan(db, stmt, reorder)
+	p, err := buildPlan(db, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +331,7 @@ func collectRefs(e Expr, out *[]*ColumnRef) {
 	}
 }
 
-func buildPlan(db *relational.Database, stmt *SelectStmt, reorder bool) (*plannedQuery, error) {
+func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error) {
 	counters.plans.Add(1)
 	base, baseTable, err := newScanNode(db, stmt.From)
 	if err != nil {
@@ -420,7 +397,7 @@ func buildPlan(db *relational.Database, stmt *SelectStmt, reorder bool) (*planne
 	// Join-order search: for all-inner multi-joins the Selinger-style
 	// enumerator rebuilds the steps in cost order; everything else keeps
 	// the written order.
-	if tryReorder(p, stmt, nodes, tables, nodeStart, ownerNode, full, reorder) {
+	if tryReorder(p, stmt, nodes, tables, nodeStart, ownerNode, full) {
 		p.compileVec()
 		captureStatsFreshness(nodes, tables)
 		p.plan = p.describe()

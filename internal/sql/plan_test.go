@@ -451,35 +451,6 @@ func TestPlanJoinReorder(t *testing.T) {
 	}
 }
 
-// TestSetJoinReorder: the toggle takes effect immediately (the plan cache
-// key embeds it) and restores cleanly.
-func TestSetJoinReorder(t *testing.T) {
-	db := bigDB(t)
-	src := `SELECT person.name FROM cast_info
-		JOIN movie ON movie.movie_id = cast_info.movie_id
-		JOIN person ON person.person_id = cast_info.person_id
-		WHERE person.person_id = 7`
-	on := planFor(t, db, src)
-	if !on.Reordered {
-		t.Fatal("expected reordered plan with the search enabled")
-	}
-	prev := SetJoinReorder(false)
-	if !prev {
-		t.Error("default reorder setting should be on")
-	}
-	defer SetJoinReorder(true)
-	off := planFor(t, db, src)
-	if off.Reordered {
-		t.Error("disabled search still reordered")
-	}
-	if got := strings.Join(off.JoinOrder, ","); got != "cast_info,movie,person" {
-		t.Errorf("written order = %q", got)
-	}
-	if err := checkEquivalent(db, src); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPlanActualRows: Execute annotates the plan with observed
 // cardinalities; Plan (no execution) reports -1.
 func TestPlanActualRows(t *testing.T) {
@@ -543,19 +514,20 @@ func TestPlanReorderStaysFreshAfterInsert(t *testing.T) {
 }
 
 // TestReorderForwardOnReferenceErrorParity: an ON conjunct referencing a
-// table joined later fails in the written-order executor; the join-order
-// search must not silently legalize it — both settings must error.
+// table joined later fails in the written-order reference interpreter; the
+// join-order search must not silently legalize it — both must error.
 func TestReorderForwardOnReferenceErrorParity(t *testing.T) {
 	db := bigDB(t)
-	src := `SELECT person.name FROM movie
+	stmt, err := Parse(`SELECT person.name FROM movie
 		JOIN cast_info ON cast_info.movie_id = person.person_id
-		JOIN person ON person.person_id = cast_info.person_id`
-	if _, err := Run(db, src); err == nil {
-		t.Error("forward ON reference must error with reorder enabled")
+		JOIN person ON person.person_id = cast_info.person_id`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	prev := SetJoinReorder(false)
-	defer SetJoinReorder(prev)
-	if _, err := Run(db, src); err == nil {
-		t.Error("forward ON reference must error in written order")
+	if _, err := Execute(db, stmt); err == nil {
+		t.Error("forward ON reference must error in the planned executor")
+	}
+	if _, err := ExecuteFullScan(db, stmt); err == nil {
+		t.Error("forward ON reference must error in the reference interpreter")
 	}
 }

@@ -38,9 +38,9 @@ type poolPred struct {
 // predicates the full relation cannot resolve (kept on their written step
 // so errors surface exactly like the reference interpreter's).
 func tryReorder(p *plannedQuery, stmt *SelectStmt, nodes []*scanNode, tables []*relational.Table,
-	nodeStart []int, ownerNode func(int) int, full *relation, reorder bool) bool {
+	nodeStart []int, ownerNode func(int) int, full *relation) bool {
 	n := len(nodes)
-	if !reorder || n < 3 || n > ReorderMaxRelations {
+	if n < 3 || n > ReorderMaxRelations {
 		return false
 	}
 	for _, st := range p.steps {
