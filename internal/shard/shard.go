@@ -9,12 +9,16 @@
 // predicates (sql.Fragments), ships every fragment to the shards that can
 // hold qualifying rows — a fragment pinning a primary key to literals is
 // routed only to the shards those values hash to — and scatter-gathers the
-// filtered rows over a bounded worker pool. Joins, residual predicates,
-// projection, aggregation, DISTINCT, ordering and limits then run at the
-// coordinator (sql.ExecuteRows) with the reference interpreter's
-// semantics, so results are multiset-identical to single-node execution;
-// the internal/conformance differential suite holds every backend to that
-// contract.
+// filtered rows over a bounded worker pool. Join statements gather in
+// semi-join-reduced waves (semijoin.go): the self-filtering fragments
+// first, then each remaining one restricted to the join keys its gathered
+// neighbours produced, so a link table ships the rows that can join rather
+// than all of them, and a join refuted by an empty side ships nothing
+// more. Joins, residual predicates, projection, aggregation, DISTINCT,
+// ordering and limits then run at the coordinator (sql.ExecuteRows) with
+// the reference interpreter's semantics, so results are multiset-identical
+// to single-node execution; the internal/conformance differential suite
+// holds every backend to that contract.
 //
 // Backends are addressed through one executor interface (Backend) whether
 // they live in this process or behind the wire: wrapper.FullAccessSource
@@ -48,10 +52,10 @@
 // rows, giving engine-level consumers (core.Engine.ColumnStatistics,
 // operator tooling, a future coordinator-side join planner) a whole-data
 // view without row movement; each shard's own planner meanwhile keeps
-// using its local statistics for fragment access paths. Note the
-// coordinator's join step itself is the reference interpreter — it joins
-// gathered fragments in written order and does not consult the merged
-// statistics yet. AttributeScore/EdgeDistance combine per-shard relevance
+// using its local statistics for fragment access paths. The merged row
+// counts size the semi-join reduction; the coordinator's join step itself
+// is still the reference interpreter — it joins gathered fragments in
+// written order. AttributeScore/EdgeDistance combine per-shard relevance
 // evidence (max, respectively row-agnostic mean) — approximate where
 // exact merging would need global recomputation, and documented as such.
 package shard
@@ -133,6 +137,8 @@ type Stats struct {
 	PrunedProbes        uint64 // shard requests skipped by PK partition pruning
 	ExistsProbes        uint64 // per-shard existence probes issued
 	ExistsShortCircuits uint64 // exists calls answered before every probe ran
+	ReducedFragments    uint64 // fragments shipped with a neighbour's join keys as an IN list (semijoin.go)
+	SkippedFragments    uint64 // fragments never shipped because the inner join was already provably empty
 }
 
 type counters struct {
@@ -140,6 +146,7 @@ type counters struct {
 	fragments                     atomic.Uint64
 	rowsShipped, pruned           atomic.Uint64
 	existsProbes, existsShort     atomic.Uint64
+	reduced, skipped              atomic.Uint64
 }
 
 // ShardedSource implements wrapper.Source (plus the ExistsExecutor,
@@ -171,6 +178,11 @@ type ShardedSource struct {
 
 	edgeMu    sync.Mutex
 	edgeCache map[string]float64
+
+	// sizeMu/sizes cache injected backends' table row counts for sizing
+	// semi-join reductions (tableRows); -1 records an unknown size.
+	sizeMu sync.Mutex
+	sizes  map[string]int
 
 	// probes tracks in-flight existence probe goroutines: existsFanOut
 	// returns on the first witness without waiting for slow shards, so a
@@ -276,6 +288,7 @@ func NewFromBackends(name string, schema *relational.Schema, backends []Backend,
 		workers:   workers,
 		prunable:  opt.AssumeHashRouting,
 		edgeCache: map[string]float64{},
+		sizes:     map[string]int{},
 	}
 	for i, b := range backends {
 		if sc, ok := b.(scorer); ok {
@@ -309,6 +322,8 @@ func (s *ShardedSource) Stats() Stats {
 		PrunedProbes:        s.c.pruned.Load(),
 		ExistsProbes:        s.c.existsProbes.Load(),
 		ExistsShortCircuits: s.c.existsShort.Load(),
+		ReducedFragments:    s.c.reduced.Load(),
+		SkippedFragments:    s.c.skipped.Load(),
 	}
 }
 
@@ -326,6 +341,8 @@ func (s *ShardedSource) ResetStats() {
 	s.c.pruned.Store(0)
 	s.c.existsProbes.Store(0)
 	s.c.existsShort.Store(0)
+	s.c.reduced.Store(0)
+	s.c.skipped.Store(0)
 }
 
 // Quiesce blocks until every in-flight shard probe has drained — the
@@ -632,8 +649,9 @@ func (s *ShardedSource) ExecuteCtx(ctx context.Context, stmt *sql.SelectStmt) (*
 // out one existence query per (non-pruned) shard and return on the first
 // witness row, canceling probes that have not started; join probes gather
 // the pushed-down fragments and decide emptiness at the coordinator with a
-// LIMIT 1 rewrite, so their cost is the gather cost, never the full join
-// result.
+// LIMIT 1 rewrite, so their cost is the (semi-join-reduced) gather cost,
+// never the full join result — and a probe refuted by an empty keyword
+// selection stops after gathering it.
 func (s *ShardedSource) ExecuteExists(stmt *sql.SelectStmt) (bool, error) {
 	return s.ExecuteExistsCtx(context.Background(), stmt)
 }
@@ -756,19 +774,31 @@ func (s *ShardedSource) existsFanOut(ctx context.Context, stmt *sql.SelectStmt) 
 	return false, firstErr
 }
 
-// executeGather is the general path: fetch every fragment's qualifying
-// rows from its candidate shards in parallel, then run the statement over
-// the gathered base tables at the coordinator.
+// executeGather is the general path: fetch the fragments' qualifying rows
+// from their candidate shards — in semi-join-reduced waves when the
+// statement allows it (semijoin.go) — then run the statement over the
+// gathered base tables at the coordinator.
 func (s *ShardedSource) executeGather(ctx context.Context, stmt *sql.SelectStmt) (*sql.Result, error) {
 	s.c.gather.Add(1)
 	frags, err := sql.Fragments(s.schema, stmt)
 	if err != nil {
 		return nil, err
 	}
+	tables, err := s.gatherReduced(ctx, stmt, frags)
+	if err != nil {
+		return nil, err
+	}
+	return sql.ExecuteRows(s.schema, stmt, tables)
+}
+
+// gatherWave fetches the listed fragments from their candidate shards in
+// parallel and stores each one's rows, concatenated in shard order, in
+// tables.
+func (s *ShardedSource) gatherWave(ctx context.Context, frags []sql.TableFragment, wave []int, tables [][]relational.Row) error {
 	type job struct{ frag, shard int }
 	var jobs []job
 	perShard := make([][][]relational.Row, len(frags))
-	for fi := range frags {
+	for _, fi := range wave {
 		perShard[fi] = make([][]relational.Row, len(s.backends))
 		for _, si := range s.shardsFor(&frags[fi]) {
 			jobs = append(jobs, job{frag: fi, shard: si})
@@ -792,18 +822,17 @@ func (s *ShardedSource) executeGather(ctx context.Context, stmt *sql.SelectStmt)
 	})
 	for _, e := range errs {
 		if e != nil {
-			return nil, e
+			return e
 		}
 	}
-	tables := make([][]relational.Row, len(frags))
-	for fi := range frags {
+	for _, fi := range wave {
 		var rows []relational.Row
 		for _, shardRows := range perShard[fi] {
 			rows = append(rows, shardRows...)
 		}
 		tables[fi] = rows
 	}
-	return sql.ExecuteRows(s.schema, stmt, tables)
+	return nil
 }
 
 // fetchResult pulls one statement's result from a backend, consuming the

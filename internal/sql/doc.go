@@ -168,6 +168,17 @@
 //     IN list of NULLs prunes every shard). Values that do not coerce to
 //     the key's type must not be pruned on — cross-type comparisons can
 //     still match.
+//   - Semi-join reduction. When InnerJoinKeys reports a statement's join
+//     keys (all joins inner, every ON conjunct a column equality the hash
+//     join keys on), the coordinator may gather fragments in waves and
+//     Restrict a later fragment to `col IN (keys)`, the distinct join
+//     keys of an already-gathered neighbour. Such a fragment returns a
+//     subset of its rows in the same relative order — shards answer the
+//     list from the equality index in ascending row order, the order of
+//     the full scan — and every dropped row matches no neighbour row, so
+//     ExecuteRows returns the same rows in the same order as over the
+//     unreduced fragments. A restriction on the primary key also becomes
+//     the fragment's PKValues.
 //
 // The internal/conformance differential suite holds both halves to this
 // contract against FullAccessSource at 1, 3 and 7 shards — with the

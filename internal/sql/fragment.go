@@ -24,9 +24,10 @@ type TableFragment struct {
 	// conjuncts as its WHERE. It is freshly built per Fragments call and
 	// owned by the caller.
 	Stmt *SelectStmt
-	// Pushed lists the WHERE conjuncts the fragment evaluates remotely.
-	// Conjuncts not claimed by any fragment (multi-table, aggregate,
-	// unresolvable, constant) remain the coordinator's responsibility.
+	// Pushed lists the WHERE conjuncts the fragment evaluates remotely,
+	// followed by any semi-join restriction (Restrict). Conjuncts not
+	// claimed by any fragment (multi-table, aggregate, unresolvable,
+	// constant) remain the coordinator's responsibility.
 	Pushed []Expr
 	// PKValues is the partition-pruning hint: when the pushed conjuncts pin
 	// the table's primary key to an equality literal or an IN list, these
@@ -149,19 +150,105 @@ func Fragments(schema *relational.Schema, stmt *SelectStmt) ([]TableFragment, er
 	}
 
 	for i := range frags {
-		var where Expr
-		if len(frags[i].Pushed) > 0 {
-			where = andAll(frags[i].Pushed)
-		}
-		frags[i].Stmt = &SelectStmt{
-			Items: []SelectItem{{Star: true}},
-			From:  frags[i].Ref,
-			Where: where,
-			Limit: -1,
-		}
+		frags[i].Stmt = fragmentStmt(frags[i].Ref, frags[i].Pushed)
 		frags[i].PKValues = pkRestriction(schema, locals[i], &frags[i])
 	}
 	return frags, nil
+}
+
+// fragmentStmt builds a fragment's executable statement: SELECT * over the
+// reference with the pushed conjuncts as its WHERE.
+func fragmentStmt(ref TableRef, pushed []Expr) *SelectStmt {
+	var where Expr
+	if len(pushed) > 0 {
+		where = andAll(pushed)
+	}
+	return &SelectStmt{
+		Items: []SelectItem{{Star: true}},
+		From:  ref,
+		Where: where,
+		Limit: -1,
+	}
+}
+
+// KeyEdge is one equi-join key between two table references of a
+// statement: the column at schema ordinal ACol of stmt.Tables()[A] equals
+// the column at ordinal BCol of stmt.Tables()[B].
+type KeyEdge struct {
+	A, ACol int
+	B, BCol int
+}
+
+// InnerJoinKeys returns the equi-join keys linking a statement's table
+// references when semi-join reduction of its fragments is sound: every
+// join is inner, and every ON conjunct is a column equality that
+// ExecuteRows' hash join takes as a join key. Then a gathered row can only
+// reach the result through rows of every other table that key-equal it on
+// each edge, and no ON residual is ever evaluated on a row the join would
+// drop — so removing, from one fragment, the rows whose key matches no row
+// of an adjacent fragment changes neither the result, its order, nor the
+// errors raised. ok is false for single-table statements, LEFT joins, and
+// ONs with any other conjunct.
+//
+// The classification is the one ExecuteRows applies: each ON is split
+// against the relation accumulated by the joins before it, exactly as the
+// reference interpreter's join does.
+func InnerJoinKeys(schema *relational.Schema, stmt *SelectStmt) (edges []KeyEdge, ok bool) {
+	if len(stmt.Joins) == 0 {
+		return nil, false
+	}
+	accum, err := fragmentRelation(schema, stmt.From)
+	if err != nil {
+		return nil, false
+	}
+	starts := []int{0}
+	for i, j := range stmt.Joins {
+		if j.Left {
+			return nil, false
+		}
+		right, err := fragmentRelation(schema, j.Table)
+		if err != nil {
+			return nil, false
+		}
+		lk, rk, residual := equiJoinKeys(accum, right, j.On)
+		if len(residual) > 0 || len(lk) == 0 {
+			return nil, false
+		}
+		for k := range lk {
+			owner := len(starts) - 1
+			for lk[k] < starts[owner] {
+				owner--
+			}
+			edges = append(edges, KeyEdge{A: owner, ACol: lk[k] - starts[owner], B: i + 1, BCol: rk[k]})
+		}
+		starts = append(starts, len(accum.cols))
+		accum.cols = append(accum.cols, right.cols...)
+	}
+	return edges, true
+}
+
+// Restrict returns a copy of the fragment that also pushes `<col> IN
+// (keys)`, col being a schema column ordinal of the fragment's table — the
+// coordinator's semi-join reduction. keys must be non-empty literals. When
+// col is the primary key and the fragment had no tighter pin, keys become
+// its PKValues, so partition pruning applies to the reduced fragment.
+func (f TableFragment) Restrict(schema *relational.Schema, col int, keys []relational.Value) TableFragment {
+	ts := schema.Table(f.Ref.Table)
+	list := make([]Expr, len(keys))
+	for i, k := range keys {
+		list[i] = &Literal{Value: k}
+	}
+	in := &InExpr{
+		Inner: &ColumnRef{Table: f.Ref.Binding(), Column: ts.Columns[col].Name},
+		List:  list,
+	}
+	out := f
+	out.Pushed = append(append(make([]Expr, 0, len(f.Pushed)+1), f.Pushed...), in)
+	out.Stmt = fragmentStmt(f.Ref, out.Pushed)
+	if col == ts.ColumnIndex(ts.PrimaryKey) && (f.PKValues == nil || len(keys) < len(f.PKValues)) {
+		out.PKValues = keys
+	}
+	return out
 }
 
 // pkRestriction inspects a fragment's pushed conjuncts for an equality or

@@ -99,6 +99,86 @@ func TestFragmentsLeftJoinLegality(t *testing.T) {
 	}
 }
 
+func TestInnerJoinKeys(t *testing.T) {
+	db := eqDB(t)
+	stmt, err := Parse(`SELECT person.name FROM movie
+		JOIN cast_info ON cast_info.movie_id = movie.movie_id
+		JOIN person ON cast_info.person_id = person.person_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, ok := InnerJoinKeys(db.Schema, stmt)
+	if !ok {
+		t.Fatal("all-inner equi-join statement was not reducible")
+	}
+	// movie.movie_id (0,0) = cast_info.movie_id (1,1); cast_info.person_id
+	// (1,2) = person.person_id (2,0), written left-to-right or not.
+	want := []KeyEdge{{A: 0, ACol: 0, B: 1, BCol: 1}, {A: 1, ACol: 2, B: 2, BCol: 0}}
+	if len(edges) != len(want) {
+		t.Fatalf("edges = %+v, want %+v", edges, want)
+	}
+	for i := range want {
+		if edges[i] != want[i] {
+			t.Errorf("edge %d = %+v, want %+v", i, edges[i], want[i])
+		}
+	}
+
+	for _, src := range []string{
+		"SELECT title FROM movie",
+		`SELECT movie.title FROM movie LEFT JOIN cast_info ON cast_info.movie_id = movie.movie_id`,
+		`SELECT movie.title FROM movie JOIN cast_info
+			ON cast_info.movie_id = movie.movie_id AND cast_info.role = 'actor'`,
+		`SELECT movie.title FROM movie JOIN cast_info ON cast_info.movie_id < movie.movie_id`,
+	} {
+		stmt, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := InnerJoinKeys(db.Schema, stmt); ok {
+			t.Errorf("%q: reducible, want not (single table, LEFT join or ON residual)", src)
+		}
+	}
+}
+
+func TestFragmentRestrict(t *testing.T) {
+	db := eqDB(t)
+	stmt, err := Parse(`SELECT m.title FROM cast_info JOIN movie m ON m.movie_id = cast_info.movie_id
+		WHERE cast_info.role = 'actor'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := Fragments(db.Schema, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []relational.Value{relational.Int(4), relational.Int(9)}
+	cast := frags[0].Restrict(db.Schema, 1, keys)
+	if got, want := cast.SQL(), "SELECT * FROM cast_info WHERE ((cast_info.role = 'actor') AND (cast_info.movie_id IN (4, 9)))"; got != want {
+		t.Errorf("restricted cast_info fragment:\n got %s\nwant %s", got, want)
+	}
+	if cast.PKValues != nil {
+		t.Errorf("a foreign-key restriction set PKValues %v", cast.PKValues)
+	}
+	if len(frags[0].Pushed) != 1 || frags[0].Stmt.Where.SQL() != "(cast_info.role = 'actor')" {
+		t.Error("Restrict modified the original fragment")
+	}
+	movie := frags[1].Restrict(db.Schema, 0, keys)
+	if got, want := movie.SQL(), "SELECT * FROM movie m WHERE (m.movie_id IN (4, 9))"; got != want {
+		t.Errorf("restricted movie fragment:\n got %s\nwant %s", got, want)
+	}
+	if len(movie.PKValues) != 2 {
+		t.Errorf("primary-key restriction: PKValues = %v, want the 2 keys", movie.PKValues)
+	}
+	// The restricted statement round-trips and selects exactly the keys.
+	res, err := Run(db, movie.SQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Errorf("restricted movie fragment returned %d rows, want 2", len(res.Rows))
+	}
+}
+
 // TestExecuteRowsMatchesReference feeds ExecuteRows the tables' own rows and
 // checks it reproduces the reference interpreter byte for byte — the
 // coordinator half must be a drop-in finish for gathered fragments.
