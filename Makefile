@@ -38,10 +38,14 @@ bench-smoke:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# Short fuzz pass over the columnar frame decoder: malformed dictionary /
-# RLE payloads must surface as typed protocol errors, never a panic.
+# Short fuzz passes: the columnar frame decoder (malformed dictionary /
+# RLE payloads must surface as typed protocol errors, never a panic) and
+# the compiled IN-list membership test (must answer exactly as the linear
+# relational.Equal loop over ints, floats, NaN, ±0, strings, bools, NULLs;
+# minimizing its many coverage-new inputs would otherwise eat the 10 s).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzCompiledIn -fuzztime 10s -fuzzminimizetime 1x ./internal/sql
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

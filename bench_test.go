@@ -218,6 +218,47 @@ func BenchmarkComponent_RemoteGather(b *testing.B) {
 	}
 }
 
+// BenchmarkComponent_ReducedFragmentServe measures the shard side of a
+// semi-join-reduced gather: two fragments restricted to 1 024-key IN lists
+// — one served by the movie_id index, one residual behind the role
+// equality probe and answered by the compiled membership test — streamed
+// as SELECT * over a loopback connection and decoded by the client.
+func BenchmarkComponent_ReducedFragmentServe(b *testing.B) {
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
+	keys := func(n int) string {
+		parts := make([]string, 1024)
+		for i := range parts {
+			parts[i] = fmt.Sprint(1 + i*n/1024)
+		}
+		return strings.Join(parts, ", ")
+	}
+	stmts := []*sql.SelectStmt{
+		mustParseSQL(b, "SELECT * FROM cast_info WHERE cast_info.movie_id IN ("+
+			keys(db.Table("movie").Len())+")"),
+		mustParseSQL(b, "SELECT * FROM cast_info WHERE cast_info.role = 'actor' AND cast_info.person_id IN ("+
+			keys(db.Table("person").Len())+")"),
+	}
+	c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(db), transport.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for _, stmt := range stmts { // warm plans and indexes
+		if _, err := c.Execute(stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, stmt := range stmts {
+			if _, err := c.Execute(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency and caching benchmarks (the perf-PR scorecard): warm vs cold
 // query cache, sequential vs parallel backward fan-out, and whole-engine

@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"strings"
 	"testing"
@@ -137,4 +139,55 @@ func TestSemiJoinReductionOrderedIMDB(t *testing.T) {
 		t.Errorf("join statements shipped %d rows, want <= 1/10 of the unreduced %d", gotShipped, refShipped)
 	}
 	t.Logf("join statements: %d rows shipped, unreduced gather %d", gotShipped, refShipped)
+}
+
+// tableDigests hashes every row of every table of every partition, in
+// storage order, through the exact value encoding.
+func tableDigests(parts []*relational.Database) []string {
+	var out []string
+	for _, p := range parts {
+		for _, name := range p.Schema.TableNames() {
+			h := sha256.New()
+			for _, r := range p.Table(name).Rows() {
+				h.Write(sql.AppendRow(nil, r))
+			}
+			out = append(out, p.Name+"."+name+"="+hex.EncodeToString(h.Sum(nil)))
+		}
+	}
+	return out
+}
+
+// TestGatherLeavesTablesUntouched holds the read-only row contract of
+// wrapper.RowSink: in-process sources stream a bare SELECT * fragment as
+// the stored rows themselves, so the coordinator's gather, reduction and
+// ExecuteRows must never write through a row they were handed. Every
+// IMDB candidate statement runs through the in-process and the loopback
+// gather, and every table of every shard must hash the same afterwards.
+func TestGatherLeavesTablesUntouched(t *testing.T) {
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
+	parts, err := shard.Partition(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := shard.New(db.Name, parts, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := newRemoteSharded(t, db.Name, parts, transport.Options{})
+	defer remote.Close()
+
+	before := tableDigests(parts)
+	for _, stmt := range candidateStatements(t) {
+		for _, src := range []*shard.ShardedSource{owned, remote} {
+			if _, err := src.Execute(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt.SQL(), err)
+			}
+		}
+	}
+	after := tableDigests(parts)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Errorf("table changed by the gathers: %s became %s", before[i], after[i])
+		}
+	}
 }

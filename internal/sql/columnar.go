@@ -87,36 +87,48 @@ type EncodingHint struct {
 // vector of nrows values per result column. hints may be nil or shorter
 // than cols; missing entries mean no statistics evidence.
 func AppendColumnarBatch(dst []byte, nrows int, cols [][]relational.Value, hints []EncodingHint) []byte {
+	var enc ColumnarEncoder
+	return enc.Append(dst, nrows, cols, hints)
+}
+
+// ColumnarEncoder is AppendColumnarBatch with memory: the scratch it
+// encodes a column in (encoded values, their offsets, dictionary indexes
+// and the dictionary map) is kept and reused for the next column and the
+// next batch, so a stream of batches allocates it once. The zero value is
+// ready to use; an encoder must not be used concurrently.
+type ColumnarEncoder struct {
+	buf       []byte // every value of the current column, encoded back to back
+	offs      []int  // offs[i]..offs[i+1] bounds value i inside buf
+	idx       []int  // dictionary index per row
+	dictFirst []int  // first-occurrence row per dictionary entry
+	dict      map[string]int
+}
+
+// Append appends one batch's columnar encoding to dst, exactly as
+// AppendColumnarBatch does.
+func (e *ColumnarEncoder) Append(dst []byte, nrows int, cols [][]relational.Value, hints []EncodingHint) []byte {
 	dst = binary.AppendUvarint(dst, uint64(nrows))
 	dst = binary.AppendUvarint(dst, uint64(len(cols)))
-	var sc columnScratch
 	for ci, vals := range cols {
 		var hint EncodingHint
 		if ci < len(hints) {
 			hint = hints[ci]
 		}
-		dst = appendColumn(dst, vals, hint, &sc)
+		dst = e.appendColumn(dst, vals, hint)
 	}
 	return dst
 }
 
-// columnScratch holds buffers reused across a batch's columns.
-type columnScratch struct {
-	buf  []byte // every value of the current column, encoded back to back
-	offs []int  // offs[i]..offs[i+1] bounds value i inside buf
-	idx  []int  // dictionary index per row
-}
-
 // appendColumn encodes one column vector, choosing the smallest encoding.
-func appendColumn(dst []byte, vals []relational.Value, hint EncodingHint, sc *columnScratch) []byte {
+func (e *ColumnarEncoder) appendColumn(dst []byte, vals []relational.Value, hint EncodingHint) []byte {
 	n := len(vals)
-	buf, offs := sc.buf[:0], sc.offs[:0]
+	buf, offs := e.buf[:0], e.offs[:0]
 	offs = append(offs, 0)
 	for _, v := range vals {
 		buf = AppendValue(buf, v)
 		offs = append(offs, len(buf))
 	}
-	sc.buf, sc.offs = buf, offs
+	e.buf, e.offs = buf, offs
 	plainSize := len(buf)
 	valBytes := func(i int) []byte { return buf[offs[i]:offs[i+1]] }
 
@@ -135,10 +147,14 @@ func appendColumn(dst []byte, vals []relational.Value, hint EncodingHint, sc *co
 	// Dictionary size: skipped outright when statistics already say the
 	// column's cardinality is beyond what a dictionary can hold.
 	dictTotal := -1
-	var dictFirst []int // first-occurrence row per dictionary entry
-	idx := sc.idx[:0]
+	dictFirst, idx := e.dictFirst[:0], e.idx[:0]
 	if n > 0 && !(hint.HasStats && hint.Distinct > DictMaxCardinality) {
-		m := make(map[string]int, 16)
+		if e.dict == nil {
+			e.dict = make(map[string]int, 16)
+		} else {
+			clear(e.dict)
+		}
+		m := e.dict
 		dictBytes, idxBytes := 0, 0
 		fits := true
 		for i := 0; i < n; i++ {
@@ -161,7 +177,7 @@ func appendColumn(dst []byte, vals []relational.Value, hint EncodingHint, sc *co
 			dictTotal = uvarintLen(uint64(len(dictFirst))) + dictBytes + idxBytes
 		}
 	}
-	sc.idx = idx
+	e.dictFirst, e.idx = dictFirst, idx
 
 	switch {
 	case dictTotal >= 0 && dictTotal < plainSize && dictTotal <= rleTotal:

@@ -64,12 +64,12 @@ func columnEncoding(t *testing.T, payload []byte, c int) byte {
 			return enc
 		}
 		// Re-encode just this column to skip it.
-		var sc columnScratch
+		var ce ColumnarEncoder
 		vals := make([]relational.Value, len(rows))
 		for i, r := range rows {
 			vals[i] = r[ci]
 		}
-		one := appendColumn(nil, vals, EncodingHint{}, &sc)
+		one := ce.appendColumn(nil, vals, EncodingHint{})
 		off += len(one)
 	}
 }

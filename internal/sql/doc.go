@@ -179,6 +179,17 @@
 //     ExecuteRows returns the same rows in the same order as over the
 //     unreduced fragments. A restriction on the primary key also becomes
 //     the fragment's PKValues.
+//   - IN-list semantics and cost. A backend answers `col IN (literals)`
+//     exactly as relational.Equal against each literal: numbers compare
+//     by their float64 widening whatever their INT/FLOAT type (so +0
+//     equals -0, and ints above 2^53 that widen to the same float64 are
+//     equal), NaN equals every number, strings and booleans equal only
+//     their own kind, and NULL equals nothing. The planner serves the list
+//     through the column's equality index when it is the scan's access
+//     path and otherwise compiles it into a hashed set (vector.go), so a
+//     reduced fragment costs time linear in the rows it reads, not rows ×
+//     keys. A bare single-table `SELECT *` streams the stored rows
+//     themselves: rows handed to a wrapper.RowSink are read-only.
 //
 // The internal/conformance differential suite holds both halves to this
 // contract against FullAccessSource at 1, 3 and 7 shards — with the

@@ -358,6 +358,28 @@ func TestPlannerEquivalenceGenerated(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
+	longIn := longInQueries()
+	served, residual := 0, 0
+	for _, q := range longIn {
+		qp, err := Plan(db, mustParse(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range qp.Scans {
+			if sp.Access == AccessIndexIn {
+				served++
+			}
+			for _, p := range sp.Pushed {
+				if strings.Contains(p, " IN (") {
+					residual++
+				}
+			}
+		}
+	}
+	if served == 0 || residual == 0 {
+		t.Fatalf("long IN lists: %d index-served, %d residual scans; want both", served, residual)
+	}
+	queries = append(queries, longIn...)
 
 	var wg sync.WaitGroup
 	const workers = 4
@@ -378,6 +400,75 @@ func TestPlannerEquivalenceGenerated(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+}
+
+// longInQueries generates the IN-list shapes semi-join reduction ships:
+// lists of 1 to 1 100 literals, some served by the index (the scan's
+// first IN conjunct) and some residual (behind an equality probe, a second
+// IN, or on the small person table's non-key column), so both the probe
+// union and the compiled membership test run against the reference. The
+// literals mix ints around the column's domain with integral and
+// fractional floats, NULLs and numeric-looking strings that never match.
+func longInQueries() []string {
+	rng := rand.New(rand.NewSource(29))
+	list := func(col string, lo, hi int) string {
+		parts := make([]string, 1+rng.Intn(1100))
+		for i := range parts {
+			x := lo + rng.Intn(hi-lo+1)
+			switch rng.Intn(10) {
+			case 0:
+				parts[i] = "NULL"
+			case 1:
+				parts[i] = fmt.Sprintf("%d.0", x)
+			case 2:
+				parts[i] = fmt.Sprintf("%d.5", x)
+			case 3:
+				parts[i] = fmt.Sprintf("'%d'", x)
+			default:
+				parts[i] = fmt.Sprint(x)
+			}
+		}
+		return col + " IN (" + strings.Join(parts, ", ") + ")"
+	}
+	names := func() string {
+		parts := make([]string, 1+rng.Intn(1100))
+		for i := range parts {
+			parts[i] = fmt.Sprintf("'p%d %s'", rng.Intn(140), []string{"dark", "river", "storm", "night"}[rng.Intn(4)])
+		}
+		return "person.name IN (" + strings.Join(parts, ", ") + ")"
+	}
+	shapes := []func() string{
+		func() string { return "SELECT * FROM movie WHERE " + list("movie.movie_id", -5, 420) },
+		func() string {
+			return "SELECT movie.title, movie.year FROM movie WHERE " + list("movie.movie_id", 1, 360) +
+				" AND " + list("movie.year", 1955, 2025)
+		},
+		func() string {
+			return fmt.Sprintf("SELECT movie.title FROM movie WHERE movie.genre = 'drama' AND %s", list("movie.rating", 0, 10))
+		},
+		func() string {
+			return `SELECT movie.title, cast_info.role FROM movie
+				JOIN cast_info ON cast_info.movie_id = movie.movie_id WHERE ` + list("cast_info.movie_id", 1, 360)
+		},
+		func() string {
+			return `SELECT movie.title, cast_info.role FROM movie
+				LEFT JOIN cast_info ON cast_info.movie_id = movie.movie_id WHERE ` + list("movie.year", 1955, 2025)
+		},
+		func() string {
+			return `SELECT person.name, cast_info.role FROM person
+				JOIN cast_info ON cast_info.person_id = person.person_id WHERE ` + names() +
+				" AND " + list("cast_info.cast_id", 1, 820)
+		},
+	}
+	out := make([]string, 0, 36)
+	for i := 0; i < 36; i++ {
+		q := shapes[i%len(shapes)]()
+		if rng.Intn(3) == 0 {
+			q = strings.Replace(q, "SELECT ", "SELECT DISTINCT ", 1)
+		}
+		out = append(out, q)
+	}
+	return out
 }
 
 // narrowDB builds the fixture for index-narrowed scans. fact (400 rows,

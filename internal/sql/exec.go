@@ -661,7 +661,15 @@ func projectionColumns(rel *relation, stmt *SelectStmt) []string {
 }
 
 func projectRow(rel *relation, row relational.Row, stmt *SelectStmt) (relational.Row, error) {
-	var out relational.Row
+	width := 0
+	for _, it := range stmt.Items {
+		if it.Star {
+			width += len(row)
+		} else {
+			width++
+		}
+	}
+	out := make(relational.Row, 0, width)
 	for _, it := range stmt.Items {
 		if it.Star {
 			out = append(out, row...)

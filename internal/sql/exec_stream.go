@@ -19,6 +19,9 @@ import (
 // one row a LIMIT 0 still probes), so the first error Execute would
 // surface is the first error ExecuteStream surfaces. An error from start
 // or emit aborts the pipeline and is returned as-is.
+//
+// Emitted rows are read-only: a bare single-table SELECT * emits the
+// table's stored rows themselves, without a copy.
 func ExecuteStream(db *relational.Database, stmt *SelectStmt, start func(cols []string) error, emit func(row relational.Row) error) error {
 	if len(stmt.GroupBy) > 0 || anyAgg(stmt) || stmt.Distinct || len(stmt.OrderBy) > 0 {
 		res, err := Execute(db, stmt)
@@ -52,11 +55,17 @@ func ExecuteStream(db *relational.Database, stmt *SelectStmt, start func(cols []
 	if stmt.Limit >= 0 {
 		cap = stmt.Offset + stmt.Limit
 	}
+	// A bare single-table SELECT * projects every row to itself: emit the
+	// stored row rather than a copy (the sink contract makes it read-only).
+	bareStar := len(stmt.Joins) == 0 && len(stmt.Items) == 1 && stmt.Items[0].Star
 	seen, stopped := 0, false
 	err = p.run(db, nil, func(row relational.Row) error {
-		proj, perr := projectRow(fullRel, row, stmt)
-		if perr != nil {
-			return perr
+		proj := row
+		if !bareStar {
+			var perr error
+			if proj, perr = projectRow(fullRel, row, stmt); perr != nil {
+				return perr
+			}
 		}
 		seen++
 		if seen > stmt.Offset && (cap < 0 || seen <= cap) {

@@ -122,3 +122,40 @@ func TestExecuteStreamSinkErrorAborts(t *testing.T) {
 		t.Fatalf("start err = %v, want sink error", err)
 	}
 }
+
+// TestExecuteStreamBareStarEmitsStoredRows pins the zero-copy path: a bare
+// single-table SELECT * streams the table's stored rows themselves (same
+// rows as Execute, in the same order), while any other projection — and a
+// SELECT * over a join — emits rows of its own.
+func TestExecuteStreamBareStarEmitsStoredRows(t *testing.T) {
+	db := testDB(t)
+	movie := db.Table("movie")
+	stored := make(map[*relational.Value]bool, movie.Len())
+	for _, r := range movie.Rows() {
+		stored[&r[0]] = true
+	}
+	for _, c := range []struct {
+		q       string
+		aliased bool
+	}{
+		{"SELECT * FROM movie", true},
+		{"SELECT * FROM movie WHERE movie_id > 1 LIMIT 2 OFFSET 1", true},
+		{"SELECT * FROM movie m WHERE m.movie_id IN (3, 1, 7)", true},
+		{"SELECT movie_id, title, year, rating FROM movie", false},
+		{"SELECT *, title FROM movie", false},
+		{"SELECT * FROM movie JOIN cast_info ON cast_info.movie_id = movie.movie_id", false},
+	} {
+		_, rows, err := streamAll(t, db, c.q)
+		if err != nil {
+			t.Fatalf("%q: %v", c.q, err)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%q: no rows", c.q)
+		}
+		for i, r := range rows {
+			if got := stored[&r[0]]; got != c.aliased {
+				t.Fatalf("%q row %d: aliases stored row = %v, want %v", c.q, i, got, c.aliased)
+			}
+		}
+	}
+}

@@ -155,13 +155,13 @@ func scanLine(db *relational.Database, sp ScanPlan) string {
 	var s string
 	switch sp.Access {
 	case AccessIndexEq:
-		s = fmt.Sprintf("INDEX SCAN %s (%s = %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
+		s = fmt.Sprintf("INDEX SCAN %s (%s = %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	case AccessIndexRange:
-		s = fmt.Sprintf("RANGE SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
+		s = fmt.Sprintf("RANGE SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	case AccessIndexIn:
-		s = fmt.Sprintf("IN SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
+		s = fmt.Sprintf("IN SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	case AccessMatchPostings:
-		s = fmt.Sprintf("MATCH SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
+		s = fmt.Sprintf("MATCH SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	default:
 		s = fmt.Sprintf("SCAN %s (%d rows)", scanText(tr), db.Table(sp.Table).Len())
 	}

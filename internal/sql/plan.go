@@ -49,12 +49,11 @@ type ScanPlan struct {
 	Table   string
 	Binding string
 	Access  string // one of the Access* labels
-	// IndexColumn names the probed column and Lookup renders the probe
-	// (index access paths only): "= 7" for an equality probe, the bound
-	// conjunction for a range scan, the literal list for IN, the keyword
-	// for MATCH postings.
+	// IndexColumn names the probed column (index access paths only);
+	// Lookup renders the probe.
 	IndexColumn string
-	Lookup      string
+	lookup      string
+	inList      []relational.Value
 	// Pushed holds the SQL text of the single-table WHERE conjuncts
 	// evaluated during the scan, below every join.
 	Pushed     []string
@@ -196,11 +195,13 @@ type scanNode struct {
 	cols []boundCol // this table's bound columns only
 	// pushed predicates are evaluated against cols during the scan.
 	pushed []Expr
-	// access is the chosen access path; idxCol/lookup describe the probe
-	// and ords are its results captured at plan time (shared, read-only).
+	// access is the chosen access path; idxCol/lookup (inList for an IN
+	// probe) describe the probe and ords are its results captured at plan
+	// time (shared, read-only).
 	access string
 	idxCol string
 	lookup string
+	inList []relational.Value
 	ords   []int
 	est    int
 	// vec holds the pushed conjuncts compiled for the selection-vector
@@ -621,23 +622,14 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 		if err != nil || !indexWorthy(ord) {
 			continue
 		}
-		lits := make([]relational.Value, 0, len(in.List))
-		probes := make([]relational.Row, 0, len(in.List))
-		allLits := true
-		for _, item := range in.List {
-			l, isLit := item.(*Literal)
-			if !isLit {
-				allLits = false
-				break
-			}
-			if l.Value.IsNull() {
-				continue
-			}
-			lits = append(lits, l.Value)
-			probes = append(probes, relational.Row{l.Value})
-		}
+		lits, allLits := literalValues(in.List)
 		if !allLits {
 			continue
+		}
+		// One-cell probe rows sliced out of the literal array itself.
+		probes := make([]relational.Row, len(lits))
+		for i := range lits {
+			probes[i] = lits[i : i+1 : i+1]
 		}
 		colName := t.Schema.Columns[ord].Name
 		if !t.HasIndex(colName) && !strings.EqualFold(t.Schema.PrimaryKey, colName) {
@@ -647,7 +639,7 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 		counters.inScans.Add(1)
 		n.access = AccessIndexIn
 		n.idxCol = colName
-		n.lookup = "IN " + literalList(lits)
+		n.inList = lits // rendered only when a plan is printed (ScanPlan.Lookup)
 		n.ords = ords
 		n.pushed = append(n.pushed[:ci:ci], n.pushed[ci+1:]...)
 		n.finishEstimate(t, len(ords))
@@ -779,6 +771,18 @@ func (n *scanNode) finishEstimate(t *relational.Table, base int) {
 	n.est = clampEst(est)
 }
 
+// Lookup renders the probe of an index access path: "= 7" for an equality
+// probe, the bound conjunction for a range scan, the literal list for IN,
+// the keyword for MATCH postings; "" for a full scan. An IN list is
+// rendered here, on demand, rather than at plan time: semi-join-reduced
+// fragments carry up to 1 024 keys and their plans are rarely printed.
+func (sp ScanPlan) Lookup() string {
+	if sp.Access == AccessIndexIn {
+		return "IN " + literalList(sp.inList)
+	}
+	return sp.lookup
+}
+
 func literalList(vals []relational.Value) string {
 	parts := make([]string, len(vals))
 	for i, v := range vals {
@@ -839,7 +843,7 @@ func (p *plannedQuery) describe() *QueryPlan {
 		}
 		if n.access != AccessFullScan {
 			sp.IndexColumn = n.idxCol
-			sp.Lookup = n.lookup
+			sp.lookup, sp.inList = n.lookup, n.inList
 		}
 		for _, c := range n.pushed {
 			sp.Pushed = append(sp.Pushed, c.SQL())

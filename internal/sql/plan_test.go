@@ -330,7 +330,7 @@ func TestPlanRangeScan(t *testing.T) {
 	if qp.Scans[0].Access != AccessIndexRange {
 		t.Fatalf("multi-bound access = %+v, want range scan", qp.Scans[0])
 	}
-	if got := qp.Scans[0].Lookup; got != "> 1962 AND <= 1965" {
+	if got := qp.Scans[0].Lookup(); got != "> 1962 AND <= 1965" {
 		t.Errorf("combined bounds = %q, want the tightest interval", got)
 	}
 }

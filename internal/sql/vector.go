@@ -18,6 +18,20 @@ import (
 // The compiled closures replicate eval's three-valued logic exactly: a
 // NULL operand makes a comparison UNKNOWN and an UNKNOWN conjunct rejects
 // the row, so every closure returns "is TRUE", never "is not FALSE".
+//
+// A literal IN list compiles to a hashed set (inSet) whose answers are
+// exactly relational.Equal's against each literal, in time independent of
+// the list length — semi-join-reduced fragments ship lists of up to 1 024
+// join keys:
+//   - numbers (INT and FLOAT alike) are keyed by their float64 widening,
+//     the value Compare orders by, so ints that round to the same float64
+//     (above 2^53) match each other and +0 matches -0;
+//   - NaN compares equal to every number, so a NaN value matches any list
+//     holding a numeric literal and a NaN literal matches every number;
+//   - strings and booleans match within their own kind only; a value of
+//     any other kind never matches;
+//   - a NULL value never matches, and NULL literals drop out (they can
+//     only turn FALSE into UNKNOWN, and both reject the row).
 
 // vecBlock is how many rows a vectorized scan filters per selection-vector
 // pass. A satisfied LIMIT still stops mid-block: survivors are emitted in
@@ -73,34 +87,98 @@ func compileVecPred(local *relation, c Expr) (colPred, bool) {
 		if err != nil {
 			return colPred{}, false
 		}
-		// Only literal lists compile. NULL list items can turn FALSE into
-		// UNKNOWN, but both reject, so they drop out of the compiled form.
-		lits := make([]relational.Value, 0, len(x.List))
-		for _, item := range x.List {
-			l, isLit := item.(*Literal)
-			if !isLit {
-				return colPred{}, false
-			}
-			if l.Value.IsNull() {
-				continue
-			}
-			lits = append(lits, l.Value)
+		// Only literal lists compile.
+		lits, ok := literalValues(x.List)
+		if !ok {
+			return colPred{}, false
 		}
-		return colPred{ord: ord, fn: func(v relational.Value) bool {
-			if v.IsNull() {
-				return false
-			}
-			for _, lit := range lits {
-				if relational.Equal(v, lit) {
-					return true
-				}
-			}
-			return false
-		}}, true
+		return colPred{ord: ord, fn: newInSet(lits).contains}, true
 	case *BinaryExpr:
 		return compileVecBinary(local, x)
 	}
 	return colPred{}, false
+}
+
+// literalValues returns the non-NULL values of an all-literal IN list, or
+// false when some item is not a literal.
+func literalValues(list []Expr) ([]relational.Value, bool) {
+	lits := make([]relational.Value, 0, len(list))
+	for _, item := range list {
+		l, isLit := item.(*Literal)
+		if !isLit {
+			return nil, false
+		}
+		if !l.Value.IsNull() {
+			lits = append(lits, l.Value)
+		}
+	}
+	return lits, true
+}
+
+// inSet is a compiled literal IN list; contains answers exactly as
+// relational.Equal against each literal would (see the file comment).
+type inSet struct {
+	nums     map[float64]struct{} // non-NaN numeric literals, widened
+	anyNum   bool                 // some numeric literal, NaN included
+	nanLit   bool                 // some NaN literal
+	strs     map[string]struct{}
+	hasTrue  bool
+	hasFalse bool
+}
+
+func newInSet(lits []relational.Value) *inSet {
+	s := &inSet{}
+	for _, v := range lits {
+		switch v.Type() {
+		case relational.TypeInt, relational.TypeFloat:
+			s.anyNum = true
+			f := v.AsFloat()
+			if f != f {
+				s.nanLit = true
+				continue
+			}
+			if s.nums == nil {
+				s.nums = make(map[float64]struct{}, len(lits))
+			}
+			s.nums[f] = struct{}{}
+		case relational.TypeString:
+			if s.strs == nil {
+				s.strs = make(map[string]struct{}, len(lits))
+			}
+			s.strs[v.AsString()] = struct{}{}
+		case relational.TypeBool:
+			if v.AsBool() {
+				s.hasTrue = true
+			} else {
+				s.hasFalse = true
+			}
+		}
+	}
+	return s
+}
+
+func (s *inSet) contains(v relational.Value) bool {
+	switch v.Type() {
+	case relational.TypeInt, relational.TypeFloat:
+		if !s.anyNum {
+			return false
+		}
+		f := v.AsFloat()
+		if s.nanLit || f != f {
+			return true
+		}
+		_, ok := s.nums[f]
+		return ok
+	case relational.TypeString:
+		_, ok := s.strs[v.AsString()]
+		return ok
+	case relational.TypeBool:
+		if v.AsBool() {
+			return s.hasTrue
+		}
+		return s.hasFalse
+	}
+	return false
 }
 
 // compileVecBinary compiles `col op literal` (either operand order) for

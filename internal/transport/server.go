@@ -50,6 +50,8 @@ type Server struct {
 	stats   wrapper.StatisticsProvider // nil when the backend has none
 	score   scorer                     // nil when the backend has none
 	ins     wrapper.Inserter           // nil when the backend is read-only
+	// tableCols caches tableColumns: lower-cased table name → []string.
+	tableCols sync.Map
 
 	// MaxFrame caps accepted request frames (DefaultMaxFrame when 0).
 	MaxFrame int
@@ -326,9 +328,11 @@ func (s *Server) handleQuery(conn net.Conn, payload []byte, ver int) error {
 		conn:    conn,
 		srv:     s,
 		ver:     ver,
-		stmt:    stmt,
 		batch:   s.batchRows(),
 		byteCap: s.batchByteCap(),
+	}
+	if ver >= ProtocolV2 {
+		sink.hints = s.encodingHints(stmt) // before the backend takes its locks
 	}
 	if se, ok := s.backend.(wrapper.StreamExecutor); ok {
 		cols, err := se.ExecuteStream(stmt, sink)
@@ -391,28 +395,32 @@ func (s *Server) batchByteCap() int {
 }
 
 // encodingHints looks up per-column distinct counts for the statement's
-// projection, feeding the columnar encoder's dictionary veto. Hints are
-// best-effort: only single-table statements resolve (a joined projection's
-// provenance is not tracked here), and any lookup failure degrades to the
-// unhinted encoder, never to an error.
-func (s *Server) encodingHints(stmt *sql.SelectStmt, cols []string) []sql.EncodingHint {
+// projection, feeding the columnar encoder's dictionary veto; hint i
+// belongs to result column i. They are resolved before the statement
+// runs, by column name against the FROM table: a backend's
+// ColumnStatistics may take the read lock its streaming face holds for
+// the whole stream (FullAccessSource does), and taking it again from
+// inside the stream wedges behind a waiting Insert. Hints are best-effort:
+// only single-table statements resolve (a joined projection's provenance
+// is not tracked here), and any lookup failure degrades to the unhinted
+// encoder, never to an error.
+func (s *Server) encodingHints(stmt *sql.SelectStmt) []sql.EncodingHint {
 	if s.stats == nil || len(stmt.Joins) > 0 {
 		return nil
 	}
-	star := len(stmt.Items) == 1 && stmt.Items[0].Star
-	hints := make([]sql.EncodingHint, len(cols))
-	for i, name := range cols {
-		col := ""
-		if star {
-			// Star projections emit qualified "table.column" names.
-			if j := strings.IndexByte(name, '.'); j >= 0 {
-				col = name[j+1:]
-			}
-		} else if i < len(stmt.Items) {
-			if cr, ok := stmt.Items[i].Expr.(*sql.ColumnRef); ok {
-				col = cr.Column
+	var names []string
+	if len(stmt.Items) == 1 && stmt.Items[0].Star {
+		names = s.tableColumns(stmt.From.Table)
+	} else {
+		names = make([]string, len(stmt.Items))
+		for i, it := range stmt.Items {
+			if cr, ok := it.Expr.(*sql.ColumnRef); ok {
+				names[i] = cr.Column
 			}
 		}
+	}
+	hints := make([]sql.EncodingHint, len(names))
+	for i, col := range names {
 		if col == "" {
 			continue
 		}
@@ -421,6 +429,33 @@ func (s *Server) encodingHints(stmt *sql.SelectStmt, cols []string) []sql.Encodi
 		}
 	}
 	return hints
+}
+
+// tableColumns returns the FROM table's column names in schema order —
+// what a bare SELECT * over it emits — or nil when the backend cannot run
+// one. The backend is asked once per table, through the one face every
+// backend and every decorator of one forwards: the header of a zero-row
+// SELECT * run by its own Execute. A server's schema never changes, so
+// the answer is cached for the server's lifetime.
+func (s *Server) tableColumns(table string) []string {
+	key := strings.ToLower(table)
+	if names, ok := s.tableCols.Load(key); ok {
+		return names.([]string)
+	}
+	res, err := s.backend.Execute(&sql.SelectStmt{
+		Items: []sql.SelectItem{{Star: true}},
+		From:  sql.TableRef{Table: table},
+		Limit: 0,
+	})
+	if err != nil {
+		return nil
+	}
+	names := make([]string, len(res.Columns))
+	for i, qualified := range res.Columns {
+		names[i] = qualified[strings.IndexByte(qualified, '.')+1:] // "table.column"
+	}
+	s.tableCols.Store(key, names)
+	return names
 }
 
 func writeFloat(conn net.Conn, v float64) error {

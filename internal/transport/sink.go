@@ -50,19 +50,27 @@ type frameSink struct {
 	conn    net.Conn
 	srv     *Server
 	ver     int
-	stmt    *sql.SelectStmt
 	batch   int
 	byteCap int
+	// hints are the result columns' encoding hints, resolved before the
+	// stream started (Server.encodingHints); nil means unhinted.
+	hints []sql.EncodingHint
 
-	cols     []string
-	hints    []sql.EncodingHint
-	hintsSet bool
+	cols []string
 
 	rows     []relational.Row // current batch, in arrival order
 	rowBytes int              // encoded size of the current batch
 	total    uint64           // rows delivered, flushed batches included
 	wroteAny bool             // any frame written (header included)
 	broken   bool             // Reset after a write: stream unsalvageable
+
+	// Scratch reused by every batch of the stream: the columnar encoder's
+	// buffers, the batch transposed into column vectors over one cell
+	// array, and the outgoing frame (header included).
+	enc   sql.ColumnarEncoder
+	vecs  [][]relational.Value
+	cells []relational.Value
+	frame []byte
 }
 
 // Reset implements wrapper.RowSink.
@@ -113,59 +121,67 @@ func (k *frameSink) flush() error {
 	if err := k.writeHeader(); err != nil {
 		return err
 	}
-	typ, payload := frameRows, []byte(nil)
+	var typ byte
 	if k.ver >= ProtocolV2 {
-		typ, payload = k.encodeColumnar()
+		typ = k.encodeColumnar()
 	} else {
-		payload = k.encodeRows()
+		typ = k.encodeRows()
 	}
 	k.rows, k.rowBytes = k.rows[:0], 0
-	if err := writeFrame(k.conn, typ, payload); err != nil {
+	if err := writeFrameBuf(k.conn, typ, k.frame); err != nil {
 		return &sinkWriteError{err: err}
 	}
 	return nil
 }
 
-// encodeColumnar encodes the current batch as a columnar frame, falling
-// back to the row form when the batch does not fit the columnar caps, is
-// ragged, or simply encodes no smaller — the size check means a v2 stream
-// never ships a frame worse than its v1 equivalent.
-func (k *frameSink) encodeColumnar() (byte, []byte) {
+// encodeColumnar encodes the current batch into k.frame as a columnar
+// frame, falling back to the row form when the batch does not fit the
+// columnar caps, is ragged, or simply encodes no smaller — the size check
+// means a v2 stream never ships a frame worse than its v1 equivalent. It
+// returns the frame type it encoded.
+func (k *frameSink) encodeColumnar() byte {
 	n, ncols := len(k.rows), len(k.cols)
 	if n > sql.MaxColumnarRows || ncols == 0 || ncols > sql.MaxColumnarCols {
-		return frameRows, k.encodeRows()
+		return k.encodeRows()
 	}
 	for _, r := range k.rows {
 		if len(r) != ncols {
-			return frameRows, k.encodeRows()
+			return k.encodeRows()
 		}
 	}
-	if !k.hintsSet {
-		k.hints = k.srv.encodingHints(k.stmt, k.cols)
-		k.hintsSet = true
+	if cap(k.cells) < n*ncols {
+		k.cells = make([]relational.Value, n*ncols)
 	}
-	vecs := make([][]relational.Value, ncols)
-	cells := make([]relational.Value, n*ncols)
-	for c := range vecs {
-		vec := cells[c*n : (c+1)*n : (c+1)*n]
+	k.vecs = k.vecs[:0]
+	for c := 0; c < ncols; c++ {
+		vec := k.cells[c*n : (c+1)*n : (c+1)*n]
 		for i, r := range k.rows {
 			vec[i] = r[c]
 		}
-		vecs[c] = vec
+		k.vecs = append(k.vecs, vec)
 	}
-	payload := sql.AppendColumnarBatch(nil, n, vecs, k.hints)
-	if len(payload) >= k.rowBytes+binary.MaxVarintLen64 {
-		return frameRows, k.encodeRows()
+	k.frame = k.enc.Append(k.startFrame(), n, k.vecs, k.hints)
+	if len(k.frame)-frameHeaderSize >= k.rowBytes+binary.MaxVarintLen64 {
+		return k.encodeRows()
 	}
-	return frameRowsCol, payload
+	return frameRowsCol
 }
 
-func (k *frameSink) encodeRows() []byte {
-	payload := binary.AppendUvarint(make([]byte, 0, k.rowBytes+binary.MaxVarintLen64), uint64(len(k.rows)))
+// encodeRows encodes the current batch into k.frame as a row frame.
+func (k *frameSink) encodeRows() byte {
+	k.frame = binary.AppendUvarint(k.startFrame(), uint64(len(k.rows)))
 	for _, r := range k.rows {
-		payload = sql.AppendRow(payload, r)
+		k.frame = sql.AppendRow(k.frame, r)
 	}
-	return payload
+	return frameRows
+}
+
+// startFrame empties the frame buffer down to its reserved header bytes.
+func (k *frameSink) startFrame() []byte {
+	if cap(k.frame) < frameHeaderSize {
+		k.frame = make([]byte, frameHeaderSize, frameHeaderSize+k.rowBytes+binary.MaxVarintLen64)
+	}
+	return k.frame[:frameHeaderSize]
 }
 
 func (k *frameSink) writeHeader() error {

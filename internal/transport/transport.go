@@ -192,10 +192,17 @@ func decodeColumnarFrame(payload []byte) ([]relational.Row, error) {
 
 // writeFrame writes one frame as a single Write call.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
+	buf := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	return writeFrameBuf(w, typ, append(buf, payload...))
+}
+
+// writeFrameBuf writes one frame as a single Write call, its payload
+// following frameHeaderSize reserved bytes in buf and the header filled in
+// place: writeFrame without the copy, for a caller that builds frames in
+// a buffer it reuses.
+func writeFrameBuf(w io.Writer, typ byte, buf []byte) error {
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-frameHeaderSize))
 	buf[4] = typ
-	copy(buf[frameHeaderSize:], payload)
 	_, err := w.Write(buf)
 	return err
 }

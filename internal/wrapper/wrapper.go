@@ -66,6 +66,11 @@ type SourceExecutor interface {
 // the stream from the top — the hook that lets a transport retry a failed
 // attempt mid-stream without duplicating rows at the consumer. A Push
 // error aborts the stream and propagates to the ExecuteStream caller.
+//
+// A pushed row is read-only and may alias table storage: an in-process
+// source streams a bare single-table SELECT * as the stored rows
+// themselves. A sink may keep the row (stored rows are never mutated in
+// place; Insert only appends new ones) but must not write to its cells.
 type RowSink interface {
 	Reset()
 	Push(row relational.Row) error
