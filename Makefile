@@ -39,12 +39,15 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short fuzz passes: the columnar frame decoder (malformed dictionary /
-# RLE payloads must surface as typed protocol errors, never a panic) and
+# RLE payloads must surface as typed protocol errors, never a panic), the
+# server's request loop (arbitrary bytes into ServeConn: no panic, only
+# well-formed response frames out, prompt return at end of input) and
 # the compiled IN-list membership test (must answer exactly as the linear
 # relational.Equal loop over ints, floats, NaN, ±0, strings, bools, NULLs;
 # minimizing its many coverage-new inputs would otherwise eat the 10 s).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzCompiledIn -fuzztime 10s -fuzzminimizetime 1x ./internal/sql
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine

@@ -171,9 +171,8 @@ func BenchmarkComponent_ShardedPointLookup(b *testing.B) {
 }
 
 // BenchmarkComponent_RemoteGather measures the full wire path of the
-// gather: pushed-down join fragments on 4 loopback shards, frames decoded
-// at the coordinator. The v1/v2 pair isolates the columnar codec's cost
-// and allocation profile against plain row frames on identical results.
+// gather: pushed-down join fragments on 4 loopback shards, row batches
+// decoded at the coordinator.
 func BenchmarkComponent_RemoteGather(b *testing.B) {
 	stmt, err := quest.ParseSQL(`SELECT DISTINCT person.name, movie.title FROM person
 		JOIN cast_info ON cast_info.person_id = person.person_id
@@ -182,39 +181,31 @@ func BenchmarkComponent_RemoteGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, proto := range []struct {
-		name string
-		ver  int
-	}{{"v1-rows", transport.ProtocolV1}, {"v2-columnar", transport.ProtocolV2}} {
-		b.Run(proto.name, func(b *testing.B) {
-			db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
-			parts, err := quest.PartitionDatabase(db, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			backends := make([]shard.Backend, len(parts))
-			for i, p := range parts {
-				c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p),
-					transport.Options{Protocol: proto.ver})
-				if err != nil {
-					b.Fatal(err)
-				}
-				backends[i] = c
-			}
-			src := shard.NewFromBackends(db.Name, db.Schema, backends,
-				shard.Options{AssumeHashRouting: true})
-			defer src.Close()
-			if _, err := src.Execute(stmt); err != nil { // warm shard plans
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := src.Execute(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
+	parts, err := quest.PartitionDatabase(db, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	backends := make([]shard.Backend, len(parts))
+	for i, p := range parts {
+		c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), transport.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		backends[i] = c
+	}
+	src := shard.NewFromBackends(db.Name, db.Schema, backends,
+		shard.Options{AssumeHashRouting: true})
+	defer src.Close()
+	if _, err := src.Execute(stmt); err != nil { // warm shard plans
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.Execute(stmt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -17,27 +17,31 @@ import (
 // newRemoteSharded builds the remote topology over already-partitioned
 // databases: one transport server per shard (each over its own
 // FullAccessSource), reached through loopback connections by a
-// ShardedSource of transport clients. Every query crosses the full wire
-// path — fragment SQL out, length-prefixed row frames back.
-func newRemoteSharded(t testing.TB, name string, parts []*relational.Database, opt transport.Options) *shard.ShardedSource {
+// ShardedSource of transport clients, which are returned too for their
+// counters. Every query crosses the full wire path — fragment SQL out,
+// length-prefixed row batches back.
+func newRemoteSharded(t testing.TB, name string, parts []*relational.Database, opt transport.Options) (*shard.ShardedSource, []*transport.Client) {
 	t.Helper()
 	backends := make([]shard.Backend, len(parts))
+	clients := make([]*transport.Client, len(parts))
 	for i, p := range parts {
 		c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends[i] = c
+		backends[i], clients[i] = c, c
 	}
 	return shard.NewFromBackends(name, parts[0].Schema, backends,
-		shard.Options{AssumeHashRouting: true})
+		shard.Options{AssumeHashRouting: true}), clients
 }
 
 // TestConformanceRemote is the remote differential suite: every query
 // shape against FullAccessSource and a ShardedSource whose every shard is
 // behind the wire protocol, at 1, 3 and 7 shards, with concurrent query
 // batches and interleaved insert rounds, under the race detector (`make
-// conformance-remote`).
+// conformance-remote`). At every shard count the sweep must ship both
+// batch forms, columnar frames and the row-frame fallback, so the
+// fallback stays under the byte-identical contract.
 func TestConformanceRemote(t *testing.T) {
 	for _, shards := range []int{1, 3, 7} {
 		shards := shards
@@ -48,7 +52,7 @@ func TestConformanceRemote(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			remote := newRemoteSharded(t, db.Name, parts, transport.Options{})
+			remote, clients := newRemoteSharded(t, db.Name, parts, transport.Options{})
 			defer remote.Close()
 			// Mutations go through an owned source over the same shard
 			// databases: this sweep pins the read path against shared
@@ -70,6 +74,11 @@ func TestConformanceRemote(t *testing.T) {
 			queries = append(queries,
 				Query{SQL: "SELECT title FROM movie WHERE movie_id = 1105"},
 				Query{SQL: "SELECT COUNT(*) FROM movie WHERE title MATCH 'sequel'"},
+				// A one-row result ten columns wide: its columnar form (one
+				// encoding tag per column) outgrows the row form (one cell
+				// count per row), so the batch ships as a plain row frame.
+				Query{SQL: `SELECT movie_id, title, year, rating, genre,
+					genre, rating, year, title, movie_id FROM movie WHERE movie_id = 17`},
 				Query{SQL: `SELECT person.name FROM person
 					JOIN cast_info ON cast_info.person_id = person.person_id
 					WHERE cast_info.cast_id > 1000 ORDER BY cast_info.cast_id`, TotalOrder: true},
@@ -93,29 +102,18 @@ func TestConformanceRemote(t *testing.T) {
 					t.Errorf("movie.%s statistics diverge over the wire: got %+v want %+v", col, got, want)
 				}
 			}
-		})
-	}
-}
-
-// TestConformanceRemoteProtocolV1 re-runs the table-driven cases with the
-// clients pinned to protocol version 1 at every shard count: the legacy
-// row-frame path must stay byte-identical to the reference even while the
-// servers prefer columnar v2 frames for everyone else. This is the
-// compatibility half of the columnar rollout — old clients keep working
-// against new servers with no semantic drift.
-func TestConformanceRemoteProtocolV1(t *testing.T) {
-	for _, shards := range []int{1, 3, 7} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			db := conformanceDB(t)
-			ref := wrapper.NewFullAccessSource(db)
-			parts, err := shard.Partition(db, shards)
-			if err != nil {
-				t.Fatal(err)
+			// Both batch forms crossed the wire above and were held to the
+			// reference: the per-batch choice between columnar and row
+			// frames is invisible in the results.
+			var rowFrames, colFrames uint64
+			for _, c := range clients {
+				st := c.Stats()
+				rowFrames += st.RowFrames
+				colFrames += st.ColumnarFrames
 			}
-			remote := newRemoteSharded(t, db.Name, parts, transport.Options{Protocol: transport.ProtocolV1})
-			defer remote.Close()
-			runBatch(t, ref, remote, tableCases())
+			if rowFrames == 0 || colFrames == 0 {
+				t.Errorf("decoded %d row frames and %d columnar frames, want both > 0", rowFrames, colFrames)
+			}
 		})
 	}
 }
@@ -166,7 +164,7 @@ func TestRemoteNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	remote := newRemoteSharded(t, db.Name, parts, transport.Options{})
+	remote, _ := newRemoteSharded(t, db.Name, parts, transport.Options{})
 	queries := []Query{
 		{SQL: "SELECT title FROM movie WHERE movie_id = 17"},
 		{SQL: "SELECT COUNT(*) FROM movie WHERE genre = 'drama'"},

@@ -91,7 +91,7 @@ func TestSemiJoinReductionOrderedIMDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := newRemoteSharded(t, db.Name, parts, transport.Options{})
+	remote, _ := newRemoteSharded(t, db.Name, parts, transport.Options{})
 	defer remote.Close()
 
 	// Rows shipped are compared on join statements only: single-table ones
@@ -173,7 +173,7 @@ func TestGatherLeavesTablesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := newRemoteSharded(t, db.Name, parts, transport.Options{})
+	remote, _ := newRemoteSharded(t, db.Name, parts, transport.Options{})
 	defer remote.Close()
 
 	before := tableDigests(parts)

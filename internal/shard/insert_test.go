@@ -44,11 +44,17 @@ func TestInsertReadOnlyTopology(t *testing.T) {
 	}
 }
 
-// TestInsertReadOnlyTopologyRemoteV1 pins the remote flavor: transport
-// clients whose connections negotiated protocol v1 cannot carry
-// replication frames, and the sharded source surfaces that as the same
+// readOnlyExecutor hides every face of its backend but the query
+// surface, wrapper.Inserter included.
+type readOnlyExecutor struct {
+	wrapper.SourceExecutor
+}
+
+// TestInsertReadOnlyTopologyRemote pins the remote flavor: transport
+// servers whose backend has no write face answer inserts with the
+// read-only error kind, and the sharded source surfaces that as the same
 // ErrReadOnlyTopology rather than a bare transport error.
-func TestInsertReadOnlyTopologyRemoteV1(t *testing.T) {
+func TestInsertReadOnlyTopologyRemote(t *testing.T) {
 	db := testDB(t, 8, 4, 8)
 	parts, err := Partition(db, 2)
 	if err != nil {
@@ -56,10 +62,10 @@ func TestInsertReadOnlyTopologyRemoteV1(t *testing.T) {
 	}
 	backends := make([]Backend, len(parts))
 	for i, p := range parts {
-		srv := transport.NewServer(wrapper.NewFullAccessSource(p))
+		srv := transport.NewServer(&readOnlyExecutor{SourceExecutor: wrapper.NewFullAccessSource(p)})
 		cl, err := transport.NewReplicatedClient(
 			[]transport.ReplicaSpec{{Name: "r0", Dial: transport.LoopbackDialer(srv)}},
-			transport.Options{Protocol: transport.ProtocolV1, MaxAttempts: 2, RetryBackoff: 1},
+			transport.Options{MaxAttempts: 2, RetryBackoff: 1},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +78,7 @@ func TestInsertReadOnlyTopologyRemoteV1(t *testing.T) {
 		relational.Int(999), relational.String_("late arrival"), relational.Int(2013), relational.Null(),
 	})
 	if !errors.Is(err, ErrReadOnlyTopology) {
-		t.Fatalf("Insert over v1 connections = %v, want ErrReadOnlyTopology", err)
+		t.Fatalf("Insert over read-only servers = %v, want ErrReadOnlyTopology", err)
 	}
 	// Reads must be unaffected by the failed write.
 	res, err := src.Execute(mustParse(t, "SELECT movie_id FROM movie"))

@@ -28,10 +28,10 @@
 // Fragment fetches and the pushdown merge consume a backend's row stream
 // incrementally when it offers one (wrapper.StreamExecutor), so merging
 // starts before a remote shard finishes sending and the shard server never
-// materializes the fragment. On protocol-v2 connections remote shards ship
-// row batches as columnar frames (per-column dictionary/RLE encodings
-// chosen from statistics — see the wire-protocol notes in internal/sql),
-// which the gather consumes a decoded batch at a time.
+// materializes the fragment. Remote shards ship row batches as columnar
+// frames (per-column dictionary/RLE encodings chosen from statistics — see
+// the wire-protocol notes in internal/sql), which the gather consumes a
+// decoded batch at a time.
 //
 // Three fast paths shortcut the general scatter-gather. Single-table
 // statements without aggregation are pushed down whole: each shard runs
@@ -85,11 +85,10 @@ const DefaultShardCount = 4
 
 // ErrReadOnlyTopology is returned by ShardedSource.Insert when the
 // source's backends cannot accept writes: injected backends that do not
-// implement wrapper.Inserter, or remote shards whose connections
-// negotiated a protocol below v3 (replication frames unavailable). Test
-// with errors.Is — callers distinguish "this topology cannot take
-// writes" from a row-level rejection, which surfaces as the backend's
-// own error.
+// implement wrapper.Inserter, or remote shards whose server-side backend
+// has no write face (transport.ErrReadOnly). Test with errors.Is —
+// callers distinguish "this topology cannot take writes" from a
+// row-level rejection, which surfaces as the backend's own error.
 var ErrReadOnlyTopology = fmt.Errorf("shard: topology is read-only")
 
 // Backend is the per-shard contract: materializing execution, the
@@ -388,8 +387,8 @@ func (s *ShardedSource) ExecutesConcurrently() bool { return true }
 // built by New write to their owned shard databases; backend-injected
 // sources write through each backend's wrapper.Inserter — remote
 // transport clients route the row to the shard group's primary and
-// replicate it — and return ErrReadOnlyTopology when the backends (or
-// the protocol their connections negotiated) cannot take writes.
+// replicate it — and return ErrReadOnlyTopology when the backends (local
+// or behind the wire) cannot take writes.
 func (s *ShardedSource) Insert(table string, row relational.Row) error {
 	// Existence probes abandoned by a short-circuiting ExecuteExists may
 	// still be reading shard tables; entering the population phase waits

@@ -195,13 +195,19 @@
 // contract against FullAccessSource at 1, 3 and 7 shards — with the
 // backends in-process and behind the wire protocol alike.
 //
-// # Wire protocol (fragment transport framing)
+// # Wire protocol
 //
 // When a backend lives in another process (internal/transport,
 // cmd/questshardd), the fragment contract crosses the network in
 // length-prefixed frames:
 //
 //	uint32 big-endian payload length | 1 frame-type byte | payload
+//
+// There is one protocol and nothing is negotiated: every connection
+// carries every frame below from its first request, so a fleet runs one
+// build. Codes 0x07 and 0x18 once carried a version hello and its ack;
+// they are retired and never reused, and a server answers a stray 0x07
+// like any unknown request, with an in-band error.
 //
 // Requests travel as canonical SQL text — a fragment serializes as its
 // Stmt.SQL(), so the statement itself is the wire form and any engine
@@ -215,40 +221,31 @@
 //     the conformance contract compares results byte for byte.
 //   - A row is a uvarint cell count followed by its values; a result
 //     header is a uvarint column count followed by length-prefixed names.
-//   - A query response is one header frame (the columns), any number of
-//     row-batch frames (uvarint row count, then that many rows — batches
-//     default to 256 rows, cut early at a byte cap, so large results
-//     stream and the coordinator can start merging before the shard
-//     finishes), and one end frame carrying the total row count as an
-//     integrity check. Servers produce batches incrementally through
-//     ExecuteStream when the backend supports it, so a shard never holds
-//     more than one batch of a result in memory. Existence probes answer
-//     with a single bool frame; statistics requests return an encoded
-//     relational.ColumnStats (AppendColumnStats/DecodeColumnStats —
-//     exported fields only, with derived state rehydrated on decode);
-//     relevance requests return an 8-byte float.
-//   - Backend rejections arrive as an error frame (kind byte + message)
-//     in place of the response: query-level errors are final and are
-//     never retried, preserving error-disposition parity with local
-//     execution. An error frame after row batches have already been
-//     written aborts the stream (the connection is dropped — the header
-//     cannot be unsent). Frames that are truncated, over-long or
-//     undecodable are typed protocol errors — the transport closes the
-//     connection and retries elsewhere rather than hanging.
 //
-// # Columnar row batches (protocol v2)
+// The read requests and their responses:
 //
-// Protocol version 2 adds a columnar row-batch frame alongside the plain
-// one, negotiated per connection: a client opens with a hello frame naming
-// the highest version it speaks, the server clamps to what it implements
-// and acknowledges. A connection that never says hello is a v1 connection
-// (exactly how pre-hello clients behave), and a pre-hello server answers
-// the unknown frame with an in-band error the client takes as "v1" — both
-// directions degrade to row frames without breaking.
+//   - query (0x01): SQL text; answers one columns frame (0x10, the
+//     header), any number of row-batch frames, and one end frame (0x12)
+//     carrying the total row count as an integrity check. Batches default
+//     to 256 rows, cut early at a byte cap, so large results stream and
+//     the coordinator can start merging before the shard finishes.
+//     Servers produce batches incrementally through ExecuteStream when
+//     the backend supports it, so a shard never holds more than one batch
+//     of a result in memory.
+//   - exists (0x02): SQL text; answers a bool frame (0x13).
+//   - stats (0x03): table and column; answers an encoded
+//     relational.ColumnStats (0x15; AppendColumnStats/DecodeColumnStats —
+//     exported fields only, with derived state rehydrated on decode).
+//   - score (0x04) and edge (0x05): keyword relevance and join-edge
+//     distance; each answers an 8-byte float (0x14).
+//   - ping (0x06): empty; answers an empty pong (0x17), the transport's
+//     lowest-cost health check and the liveness probe.
 //
-// The columnar payload (columnar.go) is a uvarint row count and column
-// count followed by one encoded vector per column, each opening with an
-// encoding tag:
+// Each row batch ships in one of two forms, chosen per batch from the
+// batch itself. A row frame (0x11) is a uvarint row count followed by
+// that many rows. A columnar frame (0x19, columnar.go) is a uvarint row
+// count and column count followed by one encoded vector per column, each
+// opening with an encoding tag:
 //
 //   - Plain (0): the column's cells in row order, value codec as above.
 //   - Dictionary (1): uvarint dictionary size, the distinct encoded
@@ -263,33 +260,24 @@
 // column statistics (sql.EncodingHint) vetoing hopeless dictionary
 // attempts up front. Equality is on encoded bytes, so type-preservation
 // survives compression (Int(3) and Float(3) never share a dictionary
-// slot or a run). Decoding enforces the same caps the encoder obeys
-// (rows, columns, total cells, dictionary size); truncated payloads,
-// out-of-range indexes, runs that do not tile and trailing bytes are
-// typed protocol errors — fuzzed continuously (FuzzColumnarDecode). A v2
-// stream may interleave plain row-batch frames (a batch the encoder
-// could not improve falls back), so v2 is a superset of v1, and a batch
-// whose columnar form would be larger than its row form always ships as
-// rows — v2 never costs bytes.
+// slot or a run). A batch that exceeds the columnar caps, or whose
+// columnar form is no smaller than its row form (a one-row result many
+// columns wide, say), ships as a row frame instead, so one stream may mix
+// both kinds and the columnar form never costs bytes. Decoding enforces
+// the same caps the encoder obeys (rows, columns, total cells, dictionary
+// size); truncated payloads, out-of-range indexes, runs that do not tile
+// and trailing bytes are typed protocol errors — fuzzed continuously
+// (FuzzColumnarDecode).
 //
-// # Replicated writes and fleet control (protocol v3)
-//
-// Protocol version 3 adds the write-path and fleet-control frames, under
-// the same hello negotiation as v2 (a server that clamps below v3
-// answers them with an unknown-frame error, which the client surfaces as
-// a typed read-only rejection — mixed-version fleets degrade to
-// read-only rather than misbehaving). Liveness probing reuses the ping
-// frame every version has had: an empty-payload request answered by an
-// empty pong, the transport's lowest-cost health check.
-//
-// The five v3 requests and their responses:
+// The write and fleet-control requests and their responses:
 //
 //   - insert (0x08): uvarint epoch, then table name and one encoded row.
 //     Sent by the coordinator to the shard group's primary. The primary
 //     applies the row, synchronously replicates it to its backups, and
-//     answers with an insert-ack: uvarint epoch, uvarint op sequence,
-//     then a per-backup list of (name, ok byte) — the coordinator pulls
-//     any not-ok backup from its read rotation until replay.
+//     answers with an insert-ack (0x1a): uvarint epoch, uvarint op
+//     sequence, then a per-backup list of (name, ok byte) — the
+//     coordinator pulls any not-ok backup from its read rotation until
+//     replay.
 //   - replicate (0x09): uvarint epoch, uvarint sequence, table, row.
 //     Sent primary → backup (and coordinator → backup during replay). A
 //     backup applies sequences strictly in order: seq == lastSeq+1
@@ -299,18 +287,30 @@
 //   - configure (0x0a): uvarint epoch, role byte (none/primary/backup),
 //     then the primary's backup name list. Installs a replica's role and
 //     fences the epoch; answers a status response.
-//   - status (0x0b): empty; answers uvarint epoch, role byte, uvarint
-//     last applied sequence — what probes and failover decisions read.
+//   - status (0x0b): empty; answers a status response (0x1b): uvarint
+//     epoch, role byte, uvarint last applied sequence — what probes and
+//     failover decisions read.
 //   - ops (0x0c): uvarint after-sequence, uvarint max; answers the
-//     retained op-log suffix as (uvarint seq, table, row) entries — the
-//     replay feed for a rejoining replica.
+//     retained op-log suffix (0x1c) as (uvarint seq, table, row) entries
+//     — the replay feed for a rejoining replica.
 //
 // Writes are epoch-fenced: every insert, replicate and configure carries
 // the coordinator's epoch, and a replica that has seen a newer epoch
-// rejects older ones with a fenced error (distinct error kinds exist for
-// fenced, lagging and read-only, each surfaced as a typed sentinel
-// client-side). A failover bumps the epoch, so a deposed primary's
-// in-flight writes die at the replicas instead of forking history.
+// rejects older ones with a fenced error. A failover bumps the epoch, so
+// a deposed primary's in-flight writes die at the replicas instead of
+// forking history. A server whose backend accepts no writes answers
+// inserts and replicates with a read-only error.
+//
+// Rejections arrive as an error frame (0x16: kind byte + message) in
+// place of the response. Query-level errors are final and are never
+// retried, preserving error-disposition parity with local execution;
+// the fenced, lagging and read-only kinds surface client-side as typed
+// sentinels. An error frame after row batches have already been written
+// aborts the stream (the connection is dropped — the header cannot be
+// unsent). Frames that are truncated, over-long or undecodable are typed
+// protocol errors — the transport closes the connection and retries
+// elsewhere rather than hanging — and the server's request loop is
+// fuzzed against arbitrary input (FuzzServeConn).
 //
 // Exchanges are strict request/response per connection (no pipelining);
 // clients get concurrency from a connection pool, and resilience from

@@ -18,7 +18,6 @@ package steiner
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 )
@@ -422,95 +421,4 @@ func sortEdges(es []Edge) {
 		}
 		return es[i].To < es[j].To
 	})
-}
-
-// BruteForceBest exhaustively finds the minimum-cost connected subtree
-// covering the terminals by enumerating edge subsets. Exponential; exists
-// only to cross-check TopK in tests on small graphs.
-func (g *Graph) BruteForceBest(terminals []string) (*Tree, bool) {
-	ids := make([]int, 0, len(terminals))
-	seen := map[int]bool{}
-	for _, n := range terminals {
-		id := g.Vertex(n)
-		if id < 0 {
-			return nil, false
-		}
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return nil, false
-	}
-	if len(ids) == 1 {
-		return &Tree{Root: ids[0]}, true
-	}
-	var all []Edge
-	for v := range g.adj {
-		for _, e := range g.adj[v] {
-			if e.From < e.To {
-				all = append(all, e)
-			}
-		}
-	}
-	if len(all) > 22 {
-		panic("steiner: BruteForceBest called on a graph too large to enumerate")
-	}
-	best := (*Tree)(nil)
-	bestCost := math.Inf(1)
-	for mask := 0; mask < 1<<uint(len(all)); mask++ {
-		var edges []Edge
-		cost := 0.0
-		for i, e := range all {
-			if mask&(1<<uint(i)) != 0 {
-				edges = append(edges, e)
-				cost += e.Weight
-			}
-		}
-		if cost >= bestCost {
-			continue
-		}
-		t := &Tree{Root: ids[0], Edges: edges, Cost: cost}
-		if !t.ContainsAll(ids) {
-			continue
-		}
-		// Connectivity + acyclicity.
-		verts := map[int]bool{ids[0]: true}
-		for _, e := range edges {
-			verts[e.From] = true
-			verts[e.To] = true
-		}
-		if len(verts) != len(edges)+1 {
-			continue
-		}
-		if !connected(edges, ids[0], verts) {
-			continue
-		}
-		bestCost = cost
-		sortEdges(edges)
-		best = t
-	}
-	return best, best != nil
-}
-
-func connected(edges []Edge, start int, verts map[int]bool) bool {
-	adj := map[int][]int{}
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	visited := map[int]bool{start: true}
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range adj[v] {
-			if !visited[n] {
-				visited[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	return len(visited) == len(verts)
 }

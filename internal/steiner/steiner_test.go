@@ -256,7 +256,7 @@ func TestTopKOptimalAgainstBruteForce(t *testing.T) {
 		for v := range terms {
 			list = append(list, v)
 		}
-		want, ok := g.BruteForceBest(list)
+		want, ok := bruteForceBest(t, g, list)
 		got, err := g.TopK(list, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -323,4 +323,96 @@ func TestTooManyTerminals(t *testing.T) {
 	if _, err := g.TopK(terms, 1, Options{}); err == nil {
 		t.Fatal("more than 30 terminals must error")
 	}
+}
+
+// bruteForceBest exhaustively finds the minimum-cost connected subtree
+// covering the terminals by enumerating edge subsets. Exponential: it
+// cross-checks TopK on small graphs only.
+func bruteForceBest(t testing.TB, g *Graph, terminals []string) (*Tree, bool) {
+	t.Helper()
+	ids := make([]int, 0, len(terminals))
+	seen := map[int]bool{}
+	for _, n := range terminals {
+		id := g.Vertex(n)
+		if id < 0 {
+			return nil, false
+		}
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return nil, false
+	}
+	if len(ids) == 1 {
+		return &Tree{Root: ids[0]}, true
+	}
+	var all []Edge
+	for v := range g.adj {
+		for _, e := range g.adj[v] {
+			if e.From < e.To {
+				all = append(all, e)
+			}
+		}
+	}
+	if len(all) > 22 {
+		t.Fatalf("bruteForceBest: %d edges is too many to enumerate", len(all))
+	}
+	best := (*Tree)(nil)
+	bestCost := math.Inf(1)
+	for mask := 0; mask < 1<<uint(len(all)); mask++ {
+		var edges []Edge
+		cost := 0.0
+		for i, e := range all {
+			if mask&(1<<uint(i)) != 0 {
+				edges = append(edges, e)
+				cost += e.Weight
+			}
+		}
+		if cost >= bestCost {
+			continue
+		}
+		tree := &Tree{Root: ids[0], Edges: edges, Cost: cost}
+		if !tree.ContainsAll(ids) {
+			continue
+		}
+		// Connectivity + acyclicity.
+		verts := map[int]bool{ids[0]: true}
+		for _, e := range edges {
+			verts[e.From] = true
+			verts[e.To] = true
+		}
+		if len(verts) != len(edges)+1 {
+			continue
+		}
+		if !connected(edges, ids[0], verts) {
+			continue
+		}
+		bestCost = cost
+		sortEdges(edges)
+		best = tree
+	}
+	return best, best != nil
+}
+
+func connected(edges []Edge, start int, verts map[int]bool) bool {
+	adj := map[int][]int{}
+	for _, e := range edges {
+		adj[e.From] = append(adj[e.From], e.To)
+		adj[e.To] = append(adj[e.To], e.From)
+	}
+	visited := map[int]bool{start: true}
+	stack := []int{start}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, n := range adj[v] {
+			if !visited[n] {
+				visited[n] = true
+				stack = append(stack, n)
+			}
+		}
+	}
+	return len(visited) == len(verts)
 }

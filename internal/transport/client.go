@@ -40,13 +40,6 @@ type Options struct {
 	// not set it below the server's BatchByteCap plus one encoded row, or
 	// legitimate row batches become unreadable.
 	MaxFrame int
-	// Protocol is the highest protocol version to request per connection
-	// (default ProtocolLatest). Each fresh connection negotiates with a
-	// hello frame and the server grants min(requested, spoken); a pre-hello
-	// server answers with an in-band error, which the client takes as v1.
-	// Set to ProtocolV1 to pin the legacy row-frame protocol (the hello is
-	// skipped entirely).
-	Protocol int
 
 	// Hedge enables hedged reads: when an attempt's first response frame
 	// has not arrived within the hedge delay, a second attempt races it on
@@ -101,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = DefaultMaxFrame
-	}
-	if o.Protocol <= 0 || o.Protocol > ProtocolLatest {
-		o.Protocol = ProtocolLatest
 	}
 	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
 		o.HedgeQuantile = 0.9
@@ -201,50 +191,14 @@ func NewClient(dialers []Dialer, opt Options) (*Client, error) {
 	c := &Client{opt: opt.withDefaults()}
 	for i, d := range dialers {
 		c.pools = append(c.pools, &connPool{
-			dial:      d,
-			idle:      make(chan *pooledConn, c.opt.PoolSize),
-			closed:    &c.closed,
-			dials:     &c.dials,
-			handshake: c.handshake,
+			dial:   d,
+			idle:   make(chan *pooledConn, c.opt.PoolSize),
+			closed: &c.closed,
+			dials:  &c.dials,
 		})
 		c.all = append(c.all, i)
 	}
 	return c, nil
-}
-
-// handshake negotiates the protocol version on a freshly dialed
-// connection. Requesting v1 skips the hello entirely — a v1 connection is
-// indistinguishable from a pre-hello client. A server that does not know
-// the hello frame answers it in-band with frameError and keeps the
-// connection; the client takes that as "v1 spoken here" and the
-// connection stays usable, so new clients work against old servers.
-func (c *Client) handshake(pc *pooledConn) error {
-	want := c.opt.Protocol
-	if want <= ProtocolV1 {
-		pc.version = ProtocolV1
-		return nil
-	}
-	pc.conn.SetDeadline(time.Now().Add(c.opt.RequestTimeout))
-	defer pc.conn.SetDeadline(time.Time{})
-	if err := writeFrame(pc.conn, frameHello, []byte{byte(want)}); err != nil {
-		return err
-	}
-	typ, payload, err := c.readFrameCounted(pc.br)
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case frameHelloAck:
-		if len(payload) != 1 || payload[0] == 0 || int(payload[0]) > want {
-			return &ProtocolError{Detail: "bad hello ack"}
-		}
-		pc.version = int(payload[0])
-		return nil
-	case frameError:
-		pc.version = ProtocolV1
-		return nil
-	}
-	return &ProtocolError{Detail: fmt.Sprintf("unexpected frame 0x%02x in hello handshake", typ)}
 }
 
 // Dial builds a replicated client over TCP replica addresses. Each
@@ -393,9 +347,6 @@ func (c *Client) ExecuteStreamCtx(ctx context.Context, stmt *sql.SelectStmt, sin
 					total++
 				}
 			case frameRowsCol:
-				if e.pc.version < ProtocolV2 {
-					return &ProtocolError{Detail: "columnar frame on a v1 connection"}
-				}
 				rows, err := decodeColumnarFrame(payload)
 				if err != nil {
 					return err
@@ -818,10 +769,9 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 // ---- connection pool ----
 
 type pooledConn struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	pool    *connPool
-	version int // negotiated protocol version (sticky per connection)
+	conn net.Conn
+	br   *bufio.Reader
+	pool *connPool
 }
 
 // release returns the connection to its pool (protocol state clean: the
@@ -834,11 +784,10 @@ func (pc *pooledConn) release() { pc.pool.put(pc) }
 func (pc *pooledConn) close() { pc.conn.Close() }
 
 type connPool struct {
-	dial      Dialer
-	idle      chan *pooledConn
-	closed    *atomic.Bool
-	dials     *atomic.Uint64
-	handshake func(*pooledConn) error
+	dial   Dialer
+	idle   chan *pooledConn
+	closed *atomic.Bool
+	dials  *atomic.Uint64
 }
 
 func (p *connPool) get() (*pooledConn, error) {
@@ -855,16 +804,7 @@ func (p *connPool) get() (*pooledConn, error) {
 		return nil, err
 	}
 	p.dials.Add(1)
-	pc := &pooledConn{conn: conn, br: bufio.NewReader(conn), pool: p}
-	if p.handshake != nil {
-		// Negotiate once per connection; the granted version rides along
-		// through the pool for every later exchange.
-		if err := p.handshake(pc); err != nil {
-			pc.conn.Close()
-			return nil, err
-		}
-	}
-	return pc, nil
+	return &pooledConn{conn: conn, br: bufio.NewReader(conn), pool: p}, nil
 }
 
 func (p *connPool) put(pc *pooledConn) {

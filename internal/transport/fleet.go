@@ -187,11 +187,6 @@ func (c *Client) Insert(table string, row relational.Row) error {
 			return ErrClientClosed
 		}
 		if err := c.ensureConfiguredLocked(); err != nil {
-			if errors.Is(err, ErrReadOnly) {
-				// The fleet speaks a protocol without replication frames;
-				// retrying cannot change that.
-				return err
-			}
 			lastErr = err
 			continue
 		}
@@ -612,9 +607,7 @@ func (c *Client) replicaIndex(name string) int {
 // Transport failures retry just far enough to drain dead idle
 // connections from the pool plus one fresh dial — a replica that died
 // and recovered leaves exactly PoolSize corpses behind, and a probe must
-// see through them to the live server. A connection that negotiated
-// below v3 cannot carry replication frames; that surfaces as
-// ErrReadOnly, the "old shard in the fleet" signal.
+// see through them to the live server.
 func (c *Client) exchangeRepl(replica int, reqType byte, req []byte, wantType byte) ([]byte, error) {
 	var e *exchange
 	var err error
@@ -630,10 +623,6 @@ func (c *Client) exchangeRepl(replica int, reqType byte, req []byte, wantType by
 	}
 	if err != nil {
 		return nil, err
-	}
-	if e.pc.version < ProtocolV3 {
-		e.pc.release()
-		return nil, fmt.Errorf("transport: replica %d speaks protocol v%d: %w", replica, e.pc.version, ErrReadOnly)
 	}
 	if e.typ == frameError {
 		e.pc.release()

@@ -380,25 +380,37 @@ func TestRestartRecoversAndRejoins(t *testing.T) {
 	}
 }
 
-// TestInsertV1PinnedReadOnly: a fleet whose connections negotiated v1 has
-// no replication frames; Insert surfaces the typed ErrReadOnly.
-func TestInsertV1PinnedReadOnly(t *testing.T) {
-	db := copyDB(t, testDB(t), "v1")
-	srv := NewServer(wrapper.NewFullAccessSource(db))
+// TestInsertReadOnlyBackend: a fleet whose server-side backend has no
+// write face (materializedOnly carries no wrapper.Inserter) answers the
+// insert with the read-only error kind; Insert surfaces the typed
+// ErrReadOnly and reads are unaffected.
+func TestInsertReadOnlyBackend(t *testing.T) {
+	db := copyDB(t, testDB(t), "ro")
+	srv := NewServer(&materializedOnly{SourceExecutor: wrapper.NewFullAccessSource(db)})
 	c, err := NewReplicatedClient(
-		[]ReplicaSpec{{Name: "v1", Dial: LoopbackDialer(srv)}},
-		Options{Protocol: ProtocolV1, MaxAttempts: 2, RetryBackoff: 1})
+		[]ReplicaSpec{{Name: "ro", Dial: LoopbackDialer(srv)}},
+		Options{MaxAttempts: 2, RetryBackoff: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if err := c.Insert("movie", movieRow(9000)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Insert on v1 fleet = %v, want ErrReadOnly", err)
+		t.Fatalf("Insert on read-only backend = %v, want ErrReadOnly", err)
 	}
 	// Reads are unaffected.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	stmt := mustParse(t, "SELECT title FROM movie")
+	got, err := c.Execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wrapper.NewFullAccessSource(db).Execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, got, want)
 }
 
 // TestDuplicateReplicaSpecsCollapse: a shard group listing the same

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"net"
 	"testing"
 
 	"repro/internal/sql"
@@ -16,89 +14,35 @@ type materializedOnly struct {
 	wrapper.SourceExecutor
 }
 
-// TestProtocolNegotiation covers the version matrix: a v2 client against a
-// v2 server ships columnar frames; pinning Protocol 1 keeps the stream on
-// plain row frames; and a pre-hello server (simulated: answers the hello
-// with an in-band error and keeps the connection, exactly what the old
-// request loop did with an unknown frame) degrades the client to v1 with
-// identical results.
-func TestProtocolNegotiation(t *testing.T) {
+// TestMixedFrameStream: one stream carrying both batch forms decodes to
+// the reference result. The projection is ten columns wide and the batch
+// cut leaves a one-row remainder, whose columnar form (a tag per column)
+// outgrows its row form (a cell count per row): the full batch ships
+// columnar, the remainder falls back to a plain row frame.
+func TestMixedFrameStream(t *testing.T) {
 	db := testDB(t)
 	src := wrapper.NewFullAccessSource(db)
-	srv := NewServer(src)
-	stmt := mustParse(t, "SELECT title, year FROM movie ORDER BY year")
+	stmt := mustParse(t, `SELECT movie_id, title, year, movie_id, title, year,
+		movie_id, title, year, year FROM movie ORDER BY movie_id`)
 	want, err := src.Execute(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	run := func(t *testing.T, c *Client) ClientStats {
-		t.Helper()
-		defer c.Close()
-		got, err := c.Execute(stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, got, want)
-		return c.Stats()
+	srv := NewServer(src)
+	srv.BatchRows = len(want.Rows) - 1
+	c, err := NewClient([]Dialer{LoopbackDialer(srv)}, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("v2", func(t *testing.T) {
-		c, err := NewLoopbackClient(src, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := run(t, c)
-		if st.ColumnarFrames == 0 {
-			t.Errorf("v2 connection shipped no columnar frames: %+v", st)
-		}
-	})
-	t.Run("pinned v1", func(t *testing.T) {
-		c, err := NewLoopbackClient(src, Options{Protocol: ProtocolV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := run(t, c)
-		if st.ColumnarFrames != 0 {
-			t.Errorf("pinned-v1 connection received columnar frames: %+v", st)
-		}
-		if st.RowFrames == 0 {
-			t.Errorf("pinned-v1 connection decoded no row frames: %+v", st)
-		}
-	})
-	t.Run("legacy server", func(t *testing.T) {
-		legacy := func() (net.Conn, error) {
-			cl, sv := net.Pipe()
-			go func() {
-				defer sv.Close()
-				br := bufio.NewReader(sv)
-				for {
-					typ, payload, err := readFrame(br, DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					if typ == frameHello {
-						if writeError(sv, &ProtocolError{Detail: "unknown request frame"}) != nil {
-							return
-						}
-						continue
-					}
-					if srv.handle(sv, typ, payload, ProtocolV1) != nil {
-						return
-					}
-				}
-			}()
-			return cl, nil
-		}
-		c, err := NewClient([]Dialer{legacy}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := run(t, c)
-		if st.ColumnarFrames != 0 {
-			t.Errorf("legacy server somehow produced columnar frames: %+v", st)
-		}
-	})
+	defer c.Close()
+	got, err := c.Execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, got, want)
+	if st := c.Stats(); st.ColumnarFrames != 1 || st.RowFrames != 1 {
+		t.Errorf("stream decoded %d columnar and %d row frames, want 1 and 1", st.ColumnarFrames, st.RowFrames)
+	}
 }
 
 // TestServerBufferHighWaterBounded is the memory-bound evidence for the

@@ -90,8 +90,7 @@ func (s *Server) RecoverReplicaState(lastSeq uint64) {
 	s.repl.lastSeq = lastSeq
 }
 
-// handleRepl dispatches one protocol-v3 replication frame. The caller
-// (Server.handle) has already gated on the negotiated version.
+// handleRepl dispatches one replication frame.
 func (s *Server) handleRepl(conn net.Conn, typ byte, payload []byte) error {
 	switch typ {
 	case frameInsert:
@@ -361,9 +360,7 @@ func (s *Server) replicateTo(b *backupLink, epoch, seq uint64, table string, row
 	return false
 }
 
-// dialBackup resolves and dials one backup link, then negotiates v3 — a
-// backup that cannot speak the replication frames is as unusable as an
-// unreachable one.
+// dialBackup resolves and dials one backup link.
 func (s *Server) dialBackup(b *backupLink) bool {
 	resolve := s.Resolver
 	if resolve == nil {
@@ -379,19 +376,7 @@ func (s *Server) dialBackup(b *backupLink) bool {
 	if err != nil {
 		return false
 	}
-	br := bufio.NewReader(conn)
-	conn.SetDeadline(time.Now().Add(s.replTimeout()))
-	if err := writeFrame(conn, frameHello, []byte{byte(ProtocolV3)}); err != nil {
-		conn.Close()
-		return false
-	}
-	typ, payload, err := readFrame(br, s.maxFrame())
-	if err != nil || typ != frameHelloAck || len(payload) != 1 || int(payload[0]) < ProtocolV3 {
-		conn.Close()
-		return false
-	}
-	conn.SetDeadline(time.Time{})
-	b.conn, b.br = conn, br
+	b.conn, b.br = conn, bufio.NewReader(conn)
 	return true
 }
 

@@ -41,10 +41,9 @@ type scorer interface {
 // Server serves one backend over the wire protocol. The zero limits mean
 // defaults; a Server is safe for concurrent use when its backend is (the
 // sharded coordinator requires that of every Backend anyway). When the
-// backend exposes a write face (wrapper.Inserter) the server also speaks
-// the protocol-v3 replication frames: direct inserts as a primary,
-// sequenced applies as a backup, role configuration and op-log replay —
-// see replication.go.
+// backend exposes a write face (wrapper.Inserter) the server also applies
+// the replication frames: direct inserts as a primary, sequenced applies
+// as a backup, role configuration and op-log replay — see replication.go.
 type Server struct {
 	backend wrapper.SourceExecutor
 	stats   wrapper.StatisticsProvider // nil when the backend has none
@@ -194,34 +193,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 		maxFrame = DefaultMaxFrame
 	}
 	br := bufio.NewReader(conn)
-	ver := ProtocolV1 // no hello yet: the original row-frame protocol
 	for {
 		typ, payload, err := readFrame(br, maxFrame)
 		if err != nil {
 			return // disconnect or corrupt stream: drop the connection
 		}
-		if typ == frameHello {
-			// Version negotiation: grant the requested version clamped to
-			// what this server speaks. The granted version sticks to the
-			// connection; a client that never says hello stays on v1.
-			if len(payload) != 1 || payload[0] == 0 {
-				if err := writeError(conn, &ProtocolError{Detail: "bad hello payload"}); err != nil {
-					return
-				}
-				continue
-			}
-			v := int(payload[0])
-			if v > ProtocolLatest {
-				v = ProtocolLatest
-			}
-			ver = v
-			if err := writeFrame(conn, frameHelloAck, []byte{byte(v)}); err != nil {
-				return
-			}
-			continue
-		}
 		s.inflight.RLock()
-		err = s.handle(conn, typ, payload, ver)
+		err = s.handle(conn, typ, payload)
 		s.inflight.RUnlock()
 		if err != nil {
 			return // write-side failure: peer is gone
@@ -232,12 +210,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 // handle dispatches one request. A returned error means the connection is
 // unusable (write failed); backend-level rejections are answered in-band
 // with frameError and keep the connection alive.
-func (s *Server) handle(conn net.Conn, typ byte, payload []byte, ver int) error {
+func (s *Server) handle(conn net.Conn, typ byte, payload []byte) error {
 	switch typ {
 	case framePing:
 		return writeFrame(conn, framePong, nil)
 	case frameQuery:
-		return s.handleQuery(conn, payload, ver)
+		return s.handleQuery(conn, payload)
 	case frameExists:
 		stmt, err := sql.Parse(string(payload))
 		if err != nil {
@@ -297,13 +275,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, ver int) error 
 		}
 		return writeFloat(conn, d)
 	case frameInsert, frameReplicate, frameConfigure, frameStatus, frameOps:
-		// Replication frames are honored only on a connection that
-		// negotiated v3; on older connections they fall through to the
-		// unknown-frame answer below, exactly like any pre-v3 server —
-		// a mixed-version fleet degrades to read-only, never to garbage.
-		if ver >= ProtocolV3 {
-			return s.handleRepl(conn, typ, payload)
-		}
+		return s.handleRepl(conn, typ, payload)
 	}
 	// Unknown request type: the peer speaks a different protocol. Answer
 	// in-band once, then let the caller keep the loop; a client that sent
@@ -319,7 +291,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, ver int) error 
 // frames have been written cannot be retracted: it is relayed as a
 // mid-stream frameError and the connection is dropped (the client treats
 // it as final).
-func (s *Server) handleQuery(conn net.Conn, payload []byte, ver int) error {
+func (s *Server) handleQuery(conn net.Conn, payload []byte) error {
 	stmt, err := sql.Parse(string(payload))
 	if err != nil {
 		return writeError(conn, err)
@@ -327,12 +299,9 @@ func (s *Server) handleQuery(conn net.Conn, payload []byte, ver int) error {
 	sink := &frameSink{
 		conn:    conn,
 		srv:     s,
-		ver:     ver,
 		batch:   s.batchRows(),
 		byteCap: s.batchByteCap(),
-	}
-	if ver >= ProtocolV2 {
-		sink.hints = s.encodingHints(stmt) // before the backend takes its locks
+		hints:   s.encodingHints(stmt), // before the backend takes its locks
 	}
 	if se, ok := s.backend.(wrapper.StreamExecutor); ok {
 		cols, err := se.ExecuteStream(stmt, sink)

@@ -35,21 +35,20 @@ func unwrapSinkWrite(err error) error {
 // frameSink adapts one query's response stream to wrapper.RowSink: rows
 // accumulate into at most one batch (cut by row count and by encoded
 // size) and flush the moment a cut is reached, so the server's working
-// memory for a query is one batch, never the result. On a v2 connection a
-// flushed batch goes out as a columnar frameRowsCol when the columnar
-// encoding actually undercuts the row form, as plain frameRows otherwise —
-// mixing the two in one stream is legal. The column header is written
-// lazily with the first flush, which keeps a Reset before any write (a
-// streaming backend replaying a retry) free; a Reset after frames have
-// been written marks the sink broken, because written frames cannot be
-// retracted, and the stream is then aborted in-band.
+// memory for a query is one batch, never the result. A flushed batch goes
+// out as a columnar frameRowsCol when the columnar encoding actually
+// undercuts the row form, as plain frameRows otherwise — mixing the two in
+// one stream is legal. The column header is written lazily with the first
+// flush, which keeps a Reset before any write (a streaming backend
+// replaying a retry) free; a Reset after frames have been written marks
+// the sink broken, because written frames cannot be retracted, and the
+// stream is then aborted in-band.
 //
 // The sink requires its ColumnSink face to be honored: a Push before
 // StartColumns is an error, since no frame may precede the header.
 type frameSink struct {
 	conn    net.Conn
 	srv     *Server
-	ver     int
 	batch   int
 	byteCap int
 	// hints are the result columns' encoding hints, resolved before the
@@ -121,12 +120,7 @@ func (k *frameSink) flush() error {
 	if err := k.writeHeader(); err != nil {
 		return err
 	}
-	var typ byte
-	if k.ver >= ProtocolV2 {
-		typ = k.encodeColumnar()
-	} else {
-		typ = k.encodeRows()
-	}
+	typ := k.encodeColumnar()
 	k.rows, k.rowBytes = k.rows[:0], 0
 	if err := writeFrameBuf(k.conn, typ, k.frame); err != nil {
 		return &sinkWriteError{err: err}
@@ -136,9 +130,8 @@ func (k *frameSink) flush() error {
 
 // encodeColumnar encodes the current batch into k.frame as a columnar
 // frame, falling back to the row form when the batch does not fit the
-// columnar caps, is ragged, or simply encodes no smaller — the size check
-// means a v2 stream never ships a frame worse than its v1 equivalent. It
-// returns the frame type it encoded.
+// columnar caps, is ragged, or simply encodes no smaller. It returns the
+// frame type it encoded.
 func (k *frameSink) encodeColumnar() byte {
 	n, ncols := len(k.rows), len(k.cols)
 	if n > sql.MaxColumnarRows || ncols == 0 || ncols > sql.MaxColumnarCols {

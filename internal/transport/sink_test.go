@@ -148,7 +148,7 @@ func TestFrameSinkReusesBatchScratch(t *testing.T) {
 	hints := []sql.EncodingHint{{Distinct: len(rows), HasStats: true}, {}, {}, {Distinct: len(rows), HasStats: true}}
 	srv := &Server{}
 	stream := func(n int) {
-		k := &frameSink{conn: discardConn{}, srv: srv, ver: ProtocolV2, batch: batch,
+		k := &frameSink{conn: discardConn{}, srv: srv, batch: batch,
 			byteCap: BatchByteCap, hints: hints}
 		if err := k.StartColumns([]string{"id", "genre", "year", "title"}); err != nil {
 			t.Fatal(err)

@@ -26,8 +26,12 @@
 // friends). Queries travel as their canonical SQL text — the fragment
 // contract's serialized form — so any engine that parses the dialect can
 // serve a shard. Rows stream back in batches, letting the coordinator
-// start merging before the shard finishes. A frame whose declared length
-// exceeds the negotiated maximum, whose type is unknown in context, or
+// start merging before the shard finishes; each batch ships as a columnar
+// frame, or as a plain row frame when the columnar form would not be
+// smaller. There is one protocol and nothing to negotiate: every
+// connection carries the read, columnar and replication frames from its
+// first request, so a fleet runs one build. A frame whose declared length
+// exceeds the configured maximum, whose type is unknown in context, or
 // whose payload does not decode is a *ProtocolError (wrapping
 // ErrMalformedFrame where applicable): typed, immediate, never a hang.
 package transport
@@ -50,11 +54,10 @@ const (
 	frameScore  byte = 0x04 // payload: table, column, keyword strings; response: float
 	frameEdge   byte = 0x05 // payload: fromTable, fromCol, toTable, toCol; response: float
 	framePing   byte = 0x06 // payload: empty; response: pong
-	frameHello  byte = 0x07 // payload: 1 byte requested version; response: helloAck
 
-	// Replication requests, protocol v3 (see replication.go). frameInsert
-	// and frameReplicate carry a row plus the coordinator's epoch so a
-	// stale primary is fenced instead of silently diverging.
+	// Replication requests (see replication.go). frameInsert and
+	// frameReplicate carry a row plus the coordinator's epoch so a stale
+	// primary is fenced instead of silently diverging.
 	frameInsert    byte = 0x08 // uvarint epoch, table, row; response: insertAck
 	frameReplicate byte = 0x09 // uvarint epoch, uvarint seq, table, row; response: insertAck
 	frameConfigure byte = 0x0a // uvarint epoch, role byte, backup names; response: statusRes
@@ -72,35 +75,18 @@ const (
 	frameStatsRes byte = 0x15 // encoded relational.ColumnStats
 	frameError    byte = 0x16 // 1 error-kind byte + message string
 	framePong     byte = 0x17 // payload: empty
-	frameHelloAck byte = 0x18 // 1 byte granted version
-	frameRowsCol  byte = 0x19 // columnar row batch (sql.AppendColumnarBatch payload), v2 only
+	frameRowsCol  byte = 0x19 // columnar row batch (sql.AppendColumnarBatch payload)
 
-	// Replication responses, protocol v3.
+	// Replication responses.
 	frameInsertAck byte = 0x1a // uvarint epoch, uvarint seq, per-backup name+ok list
 	frameStatusRes byte = 0x1b // uvarint epoch, role byte, uvarint lastSeq
 	frameOpsRes    byte = 0x1c // uvarint count, then (uvarint seq, table, row) entries
 )
 
-// Protocol versions, negotiated per connection by frameHello. Version 1 is
-// the original row-frame protocol and needs no handshake — a connection
-// that never says hello is a v1 connection, which is exactly how pre-hello
-// clients behave. Version 2 adds columnar row batches (frameRowsCol); a v2
-// server may still interleave plain frameRows in the same stream (a batch
-// the encoder cannot improve, a stray wide row), so v2 is a superset, not
-// a replacement. Servers clamp the requested version to what they speak;
-// old servers answer the unknown hello with an in-band frameError, which
-// clients take as "v1" — both directions degrade without breaking.
-// Version 3 adds the replicated-write frames (insert, replicate,
-// configure, status, ops): a server only honors them on a connection
-// that negotiated v3, so pre-v3 servers answer them with the in-band
-// unknown-frame error and the fleet layer surfaces ErrReadOnly instead
-// of corrupting an old shard.
-const (
-	ProtocolV1     = 1
-	ProtocolV2     = 2
-	ProtocolV3     = 3
-	ProtocolLatest = ProtocolV3
-)
+// Codes 0x07 and 0x18 are retired: they carried the version hello and
+// its ack while the protocol had versions. A fleet now runs one build, so
+// nothing is negotiated; a peer that still sends 0x07 gets the in-band
+// unknown-frame error. Never reuse either code.
 
 // Error kinds carried by frameError. Query-level rejections are part of
 // the result (the reference executor would reject too) and are never
@@ -172,9 +158,8 @@ var ErrFenced = errors.New("transport: write fenced")
 var ErrLagging = errors.New("transport: replica lagging")
 
 // ErrReadOnly marks a write addressed at something that cannot accept it:
-// a backend without an insert face, a replica speaking a pre-v3 protocol,
-// or a client built without a replica catalog (NewClient instead of
-// NewReplicatedClient).
+// a backend without an insert face, or a client built without a replica
+// catalog (NewClient instead of NewReplicatedClient).
 var ErrReadOnly = errors.New("transport: backend is read-only")
 
 // decodeColumnarFrame decodes a frameRowsCol payload as the client does:

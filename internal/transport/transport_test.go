@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -408,12 +409,38 @@ func TestMalformedFrameTypedError(t *testing.T) {
 			t.Errorf("mid-stream junk returned %T (%v), want ProtocolError", err, err)
 		}
 	}
+
+	// A retired request code (0x07, the old version hello) sent raw to a
+	// real server: answered in-band as a protocol error, and the
+	// connection stays usable.
+	cl, sv := net.Pipe()
+	go NewServer(src).ServeConn(sv)
+	defer cl.Close()
+	cl.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(cl)
+	if err := writeFrame(cl, 0x07, []byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != frameError || len(payload) == 0 || payload[0] != errKindQuery ||
+		!strings.Contains(string(payload[1:]), (&ProtocolError{}).Error()) {
+		t.Fatalf("retired 0x07 answered with frame 0x%02x %q, want an in-band protocol error", typ, payload)
+	}
+	if err := writeFrame(cl, framePing, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(br, DefaultMaxFrame); err != nil || typ != framePong {
+		t.Fatalf("ping after retired 0x07: frame 0x%02x, %v; want pong", typ, err)
+	}
 }
 
 // TestWideRowsByteBoundedBatches pins the server's batch cut: rows wide
 // enough that a count-only batch would blow past the frame cap must still
 // stream — the server flushes early on encoded size, so the result
-// arrives no matter how small the negotiated cap is relative to the rows.
+// arrives no matter how small the configured cap is relative to the rows.
 func TestWideRowsByteBoundedBatches(t *testing.T) {
 	s := relational.NewSchema()
 	if err := s.AddTable(&relational.TableSchema{

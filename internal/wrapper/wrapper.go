@@ -321,15 +321,18 @@ func (s *FullAccessSource) EdgeDistance(e relational.JoinEdge) (float64, error) 
 	}
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
+	from, to := s.db.Table(e.FromTable), s.db.Table(e.ToTable)
+	if from == nil || to == nil {
+		return 1, fmt.Errorf("wrapper: edge %s references an unknown table", key)
+	}
 	if strings.EqualFold(e.FromTable, e.ToTable) {
-		ps, err := mi.IntraTable(s.db.Table(e.FromTable), e.FromColumn, e.ToColumn)
+		ps, err := mi.IntraTable(from, e.FromColumn, e.ToColumn)
 		if err != nil {
 			return 1, err
 		}
 		d = ps.NormalizedDistance()
 	} else {
-		q, err := mi.JoinInformativeness(s.db.Table(e.FromTable), e.FromColumn,
-			s.db.Table(e.ToTable), e.ToColumn)
+		q, err := mi.JoinInformativeness(from, e.FromColumn, to, e.ToColumn)
 		if err != nil {
 			return 1, err
 		}

@@ -267,8 +267,8 @@ var errNoShards = errors.New("quest: no remote shards given")
 
 // ErrReadOnlyTopology is returned (wrapped — test with errors.Is) by
 // ShardedSource.Insert when the topology has no write surface: a backend
-// without an insert path, or a remote fleet whose servers predate the
-// replicated-write protocol.
+// without an insert path, or remote shard servers whose backend accepts
+// no writes.
 var ErrReadOnlyTopology = shard.ErrReadOnlyTopology
 
 // ErrWALCorrupt is matched (errors.Is) by OpenShardWAL errors that mean
