@@ -14,35 +14,53 @@ type materializedOnly struct {
 	wrapper.SourceExecutor
 }
 
-// TestMixedFrameStream: one stream carrying both batch forms decodes to
-// the reference result. The projection is ten columns wide and the batch
-// cut leaves a one-row remainder, whose columnar form (a tag per column)
-// outgrows its row form (a cell count per row): the full batch ships
-// columnar, the remainder falls back to a plain row frame.
+// TestMixedFrameStream: a stream decodes to the reference result whatever
+// batch forms it carries. "columnar" is a default-batch stream that ships
+// columnar frames. "mixed" projects ten columns and cuts the batch to leave
+// a one-row remainder, whose columnar form (a tag per column) outgrows its
+// row form (a cell count per row): the full batch ships columnar, the
+// remainder falls back to a plain row frame.
 func TestMixedFrameStream(t *testing.T) {
 	db := testDB(t)
 	src := wrapper.NewFullAccessSource(db)
-	stmt := mustParse(t, `SELECT movie_id, title, year, movie_id, title, year,
-		movie_id, title, year, year FROM movie ORDER BY movie_id`)
-	want, err := src.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
+
+	run := func(t *testing.T, query string, batchCut int) ClientStats {
+		t.Helper()
+		stmt := mustParse(t, query)
+		want, err := src.Execute(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(src)
+		if batchCut > 0 {
+			srv.BatchRows = len(want.Rows) - batchCut
+		}
+		c, err := NewClient([]Dialer{LoopbackDialer(srv)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got, err := c.Execute(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, got, want)
+		return c.Stats()
 	}
-	srv := NewServer(src)
-	srv.BatchRows = len(want.Rows) - 1
-	c, err := NewClient([]Dialer{LoopbackDialer(srv)}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got, err := c.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, got, want)
-	if st := c.Stats(); st.ColumnarFrames != 1 || st.RowFrames != 1 {
-		t.Errorf("stream decoded %d columnar and %d row frames, want 1 and 1", st.ColumnarFrames, st.RowFrames)
-	}
+
+	t.Run("columnar", func(t *testing.T) {
+		st := run(t, "SELECT title, year FROM movie ORDER BY year", 0)
+		if st.ColumnarFrames == 0 {
+			t.Errorf("stream shipped no columnar frames: %+v", st)
+		}
+	})
+	t.Run("mixed", func(t *testing.T) {
+		st := run(t, `SELECT movie_id, title, year, movie_id, title, year,
+			movie_id, title, year, year FROM movie ORDER BY movie_id`, 1)
+		if st.ColumnarFrames != 1 || st.RowFrames != 1 {
+			t.Errorf("stream decoded %d columnar and %d row frames, want 1 and 1", st.ColumnarFrames, st.RowFrames)
+		}
+	})
 }
 
 // TestServerBufferHighWaterBounded is the memory-bound evidence for the
