@@ -673,6 +673,7 @@ func plannerCounterTable() *eval.Table {
 		{"build-side-swaps", fmt.Sprint(st.BuildSideSwaps)},
 		{"pushed-predicates", fmt.Sprint(st.PushedPredicates)},
 		{"exists-fast-paths", fmt.Sprint(st.ExistsFastPaths)},
+		{"exists-semi-joins", fmt.Sprint(st.ExistsSemiJoins)},
 		{"limit-short-circuits", fmt.Sprint(st.LimitShortCircuits)},
 	} {
 		tbl.AddRow(row[0], row[1])

@@ -1,10 +1,8 @@
 package conformance
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
 	"strings"
 	"testing"
 
@@ -49,27 +47,14 @@ func unreducedGather(t *testing.T, parts []*relational.Database, stmt *sql.Selec
 // candidate golden: the join shapes QUEST generates on IMDB.
 func candidateStatements(t *testing.T) []*sql.SelectStmt {
 	t.Helper()
-	f, err := os.Open(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var out []*sql.SelectStmt
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		_, src, ok := strings.Cut(sc.Text(), "\t")
-		if !ok {
-			t.Fatalf("malformed golden line %q", sc.Text())
-		}
+	srcs, _ := candidateSQL(t)
+	out := make([]*sql.SelectStmt, len(srcs))
+	for i, src := range srcs {
 		stmt, err := sql.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, stmt)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		out[i] = stmt
 	}
 	return out
 }

@@ -204,6 +204,23 @@ func TestTypedBadRequests(t *testing.T) {
 	}
 }
 
+// TestSQLHavingWithoutGroup: a HAVING clause with nothing to group used to
+// answer every row of the table; /v1/sql now refuses it as the client's
+// statement, a typed 400 naming HAVING, and returns no rows.
+func TestSQLHavingWithoutGroup(t *testing.T) {
+	s, _ := newGateServer(t, false, serve.Options{})
+	w := postJSON(s, "/v1/sql", `{"sql": "SELECT movie.title FROM movie HAVING movie.year > 3000"}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("code %d body %s, want 400", w.Code, w.Body.String())
+	}
+	if code := errorCode(t, w); code != "bad_request" {
+		t.Fatalf("error code %q, want bad_request", code)
+	}
+	if body := w.Body.String(); !strings.Contains(body, "HAVING") || strings.Contains(body, `"rows"`) {
+		t.Fatalf("body %s: want the HAVING rejection and no rows", body)
+	}
+}
+
 func TestRateLimitTyped(t *testing.T) {
 	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.5, TenantBurst: 1})
 

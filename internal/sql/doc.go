@@ -67,10 +67,62 @@
 // halved the estimate per predicate and executed joins in written order.
 //
 // The executor streams rows through the join pipeline with callback
-// iterators, which gives two short-circuit modes: Exists stops at the
-// first surviving tuple (the engine's PruneEmpty validation path — cost
-// independent of result size), and Execute stops at OFFSET+LIMIT rows
-// when nothing downstream reorders or merges.
+// iterators, which gives two short-circuit modes: the streaming Exists
+// stops at the first surviving tuple, and Execute stops at OFFSET+LIMIT
+// rows when nothing downstream reorders or merges.
+//
+// # Existence by index walk
+//
+// Exists is the engine's PruneEmpty validation path, and most of its
+// statements are joins that do have rows. Streaming them still builds
+// every hash-join build side and a concatenated row per match before the
+// first tuple reaches the stop, so a joined plan of the right shape is
+// instead answered by semi-join checks over the equality indexes
+// (exists.go), which never build a joined row. A candidate is a Steiner
+// tree, so its join is acyclic and those checks decide it (Yannakakis).
+//
+// Eligibility is read off the plan alone, once, when it is built: at
+// least one join; every step an inner join on exactly one equi-key column,
+// with no residual ON conjunct and no WHERE conjunct placed on it; no
+// final filter; every scan's remaining pushed conjuncts compiled (the
+// conjuncts its access path serves are gone already); no GROUP BY,
+// aggregate or HAVING, and no OFFSET; a projection of stars and column
+// references that resolve against the joined columns, and an ORDER BY of
+// such references or none. The last rule keeps Exists' error parity with
+// Execute: the streaming path evaluates the projection and ORDER BY on its
+// first row, and on an eligible statement those cannot fail.
+//
+// The walk roots the join tree — each step links its right scan to the
+// scan owning its left key column — where a walk that finds no row is
+// estimated to visit the fewest rows. That estimate starts from the scan's
+// candidates (its access path's ordinals for an index, IN, range or MATCH
+// access, every row for a full scan) and follows the planner's own
+// statistics: pushed-conjunct selectivity per scan and 1/max(distinct
+// keys) per join. The fewest candidates alone mislead: a 40-row table
+// filtered to a few rows can fan out to thousands before a selective
+// predicate three joins away refutes them all.
+//
+// A root candidate qualifies when it passes the compiled conjuncts and
+// every child edge has a partner. A partner check probes the child's
+// equality index with the key (the PK index, or one built on demand), and
+// keeps a posting only if it is among the child's access-path ordinals,
+// confirms the join, passes the child's conjuncts and qualifies in turn.
+// It stops at the first such posting, and its verdict is memoised per
+// (child, key) for the rest of the call, so the work is linear in the rows
+// probed. The answer is true at the first qualifying root candidate.
+//
+// Index postings group values by Value.Key, which is coarser than the
+// hash join's equality: every NaN shares one key, while the join tells
+// NaN payloads apart. So a posting only nominates a partner, and the hash
+// join's own test, joinKey hash equality plus joinKeysEqual, confirms it;
+// the memo is keyed the same way. All walk state belongs to the call,
+// since a cached plan serves concurrent validations.
+//
+// Everything else streams: LEFT joins, composite keys, nested-loop and
+// residual ON steps, WHERE conjuncts spanning tables, interpreted
+// conjuncts, OFFSET, expression projections and single-table statements.
+// PlannerStats.ExistsFastPaths counts every Exists that materialized no
+// result, and ExistsSemiJoins the subset the index walk answered.
 //
 // # Index-narrowed scans
 //
@@ -97,7 +149,7 @@
 // implied by the join's match condition (hashValue equality plus
 // Compare), so no skipped row could have matched. Pushed conjuncts, the
 // join-key re-check and residuals run unchanged, so LIMIT short-circuits,
-// OFFSET and Exists see the same row sequence.
+// OFFSET and the streaming Exists see the same row sequence.
 //
 // Every Result carries the QueryPlan that produced it — annotated with the
 // actual per-operator cardinalities the execution observed, next to the

@@ -1,12 +1,19 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/relational"
 )
+
+// ErrHavingWithoutGroup is the Parse error for a HAVING clause on a
+// statement with neither GROUP BY nor an aggregate select item: such a
+// statement has no groups for HAVING to filter, and rejecting it beats
+// answering every row.
+var ErrHavingWithoutGroup = errors.New("sql: HAVING requires GROUP BY or an aggregate select item")
 
 // Parser is a recursive-descent parser for the SELECT dialect.
 type Parser struct {
@@ -167,11 +174,15 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		}
 	}
 	if p.acceptKeyword("HAVING") {
+		pos := p.toks[p.pos-1].Pos
 		h, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		stmt.Having = h
+		if len(stmt.GroupBy) == 0 && !anyAgg(stmt) {
+			return nil, fmt.Errorf("%w (offset %d)", ErrHavingWithoutGroup, pos)
+		}
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,6 +169,29 @@ func TestParseConstructs(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseRejectsHavingWithoutGroup: a HAVING clause needs groups to
+// filter. Without GROUP BY or an aggregate select item the executor would
+// return every row, so Parse refuses the statement with a typed error.
+func TestParseRejectsHavingWithoutGroup(t *testing.T) {
+	for _, src := range []string{
+		"SELECT movie.title FROM movie HAVING movie.year > 3000",
+		"SELECT a FROM t HAVING COUNT(*) > 1",
+		"SELECT * FROM t JOIN u ON t.id = u.id HAVING t.a = 1",
+	} {
+		if _, err := Parse(src); !errors.Is(err, ErrHavingWithoutGroup) {
+			t.Errorf("Parse(%q) = %v, want ErrHavingWithoutGroup", src, err)
+		}
+	}
+	for _, src := range []string{
+		"SELECT a FROM t GROUP BY a HAVING a > 1",
+		"SELECT COUNT(*) FROM t HAVING COUNT(*) > 1",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
 		}
 	}
 }

@@ -127,7 +127,8 @@ type PlannerStats struct {
 	NestedLoopJoins    uint64
 	BuildSideSwaps     uint64 // hash joins that built on the left side
 	PushedPredicates   uint64 // WHERE conjuncts pushed below a join
-	ExistsFastPaths    uint64 // Exists calls served by the streaming path
+	ExistsFastPaths    uint64 // Exists calls that materialized no result (streamed or index-walked)
+	ExistsSemiJoins    uint64 // the subset of ExistsFastPaths answered by the index walk (exists.go)
 	LimitShortCircuits uint64 // Execute calls that stopped at LIMIT early
 }
 
@@ -139,6 +140,7 @@ type plannerCounters struct {
 	joinReorders                       atomic.Uint64
 	hashJoins, nestedLoops, buildSwaps atomic.Uint64
 	pushed, existsFast, limitShort     atomic.Uint64
+	existsSemi                         atomic.Uint64
 }
 
 var counters plannerCounters
@@ -162,6 +164,7 @@ func Stats() PlannerStats {
 		BuildSideSwaps:     counters.buildSwaps.Load(),
 		PushedPredicates:   counters.pushed.Load(),
 		ExistsFastPaths:    counters.existsFast.Load(),
+		ExistsSemiJoins:    counters.existsSemi.Load(),
 		LimitShortCircuits: counters.limitShort.Load(),
 	}
 }
@@ -240,6 +243,9 @@ type plannedQuery struct {
 	finalFilter []Expr
 	reordered   bool
 	plan        *QueryPlan
+	// semi is the join tree Exists walks instead of streaming; nil when the
+	// plan's shape is outside the index walk's remit (see newExistsPlan).
+	semi *existsPlan
 }
 
 // errStopIteration is the internal sentinel the streaming executor uses to
@@ -399,10 +405,7 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 	// enumerator rebuilds the steps in cost order; everything else keeps
 	// the written order.
 	if tryReorder(p, stmt, nodes, tables, nodeStart, ownerNode, full) {
-		p.compileVec()
-		captureStatsFreshness(nodes, tables)
-		p.plan = p.describe()
-		return p, nil
+		return p.seal(stmt, nodes, tables), nil
 	}
 
 	// Written-order join planning: equi-key detection against the
@@ -438,11 +441,18 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 		}
 		leftEst = st.est
 	}
+	return p.seal(stmt, nodes, tables), nil
+}
 
+// seal completes a plan whose joins are placed: it compiles the scans'
+// vectorized filters, stamps their statistics freshness, builds the join
+// tree Exists walks and freezes the introspectable plan.
+func (p *plannedQuery) seal(stmt *SelectStmt, nodes []*scanNode, tables []*relational.Table) *plannedQuery {
 	p.compileVec()
 	captureStatsFreshness(nodes, tables)
+	p.semi = newExistsPlan(p, stmt, nodes, tables)
 	p.plan = p.describe()
-	return p, nil
+	return p
 }
 
 // captureStatsFreshness stamps each scan node with the freshness of the
@@ -1309,59 +1319,4 @@ func (p *plannedQuery) materialize(db *relational.Database, rc *runCounts, limit
 		return nil, false, err
 	}
 	return rel, stopped, nil
-}
-
-// Exists reports whether the statement yields at least one row, stopping
-// at the first surviving tuple instead of materializing the result. This
-// is the execution mode behind validation queries (core's PruneEmpty):
-// their cost stops scaling with result size.
-func Exists(db *relational.Database, stmt *SelectStmt) (bool, error) {
-	if stmt.Limit == 0 {
-		return false, nil
-	}
-	if len(stmt.GroupBy) > 0 || anyAgg(stmt) || (stmt.Distinct && stmt.Offset > 0) {
-		// Aggregation changes the row count (a global aggregate always
-		// yields one row) and DISTINCT interacts with OFFSET; both are
-		// rare for validation queries, so fall back to full execution.
-		res, err := Execute(db, stmt)
-		if err != nil {
-			return false, err
-		}
-		return len(res.Rows) > 0, nil
-	}
-	p, err := planSelect(db, stmt)
-	if err != nil {
-		return false, err
-	}
-	counters.existsFast.Add(1)
-	need := stmt.Offset + 1
-	count := 0
-	fullRel := &relation{cols: p.outCols}
-	columns := projectionColumns(fullRel, stmt)
-	err = p.run(db, nil, func(row relational.Row) error {
-		count++
-		if count == 1 {
-			// Error parity with Execute, which resolves the projection and
-			// ORDER BY per row: evaluate them once on the first surviving
-			// row so a statement Execute would reject (unknown projection
-			// column, bad order key) fails here too instead of silently
-			// reporting existence — pruneEmpty relies on that error to
-			// mark validations as failed rather than empty.
-			proj, err := projectRow(fullRel, row, stmt)
-			if err != nil {
-				return err
-			}
-			if _, err := orderKeysRow(fullRel, row, stmt, columns, proj); err != nil {
-				return err
-			}
-		}
-		if count >= need {
-			return errStopIteration
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	return count >= need, nil
 }
