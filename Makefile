@@ -7,7 +7,7 @@ GO    ?= go
 PKGS  ?= ./...
 BENCH ?= .
 
-.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability ci
+.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke cmd-smoke conformance conformance-remote conformance-faults conformance-durability ci
 
 all: build
 
@@ -61,6 +61,14 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -race -count=1 -run TestServeSmoke ./internal/serve
 
+# Command smoke: run the inspection and query commands end to end on the
+# small mondial dataset (every queststats section, one questcli search
+# whose keywords both map, so the whole pipeline runs);
+# any non-zero exit fails the target.
+cmd-smoke:
+	$(GO) run ./cmd/queststats -db mondial > /dev/null
+	$(GO) run ./cmd/questcli -db mondial -q "germany city" > /dev/null
+
 # Cross-backend conformance: the differential suite holds ShardedSource
 # (at 1, 3 and 7 shards, with concurrent queries and interleaved inserts)
 # and every registered backend kind — the loopback-wire "remote" kind
@@ -94,4 +102,4 @@ conformance-durability:
 	$(GO) test -race -count=1 -run ConformanceDurability ./internal/conformance
 	$(GO) test -race -count=1 ./internal/wal
 
-ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke
+ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke cmd-smoke

@@ -18,8 +18,7 @@
 // See internal/serve for the HTTP API: /v1/search, /v1/sql, /v1/stats,
 // /healthz, the X-Quest-Tenant / X-Quest-Deadline-Ms headers and typed
 // error codes. The admission knobs (-rate, -burst, -max-queue,
-// -max-concurrent, deadlines, -no-coalesce) map one-to-one onto
-// serve.Options.
+// -max-concurrent, deadlines) map one-to-one onto serve.Options.
 package main
 
 import (
@@ -57,9 +56,6 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "searches executing at once (0 selects GOMAXPROCS)")
 		defDeadline   = flag.Duration("default-deadline", 0, "deadline for requests without a deadline header (0 selects 5s)")
 		maxDeadline   = flag.Duration("max-deadline", 0, "upper clamp on client-requested deadlines (0 selects 30s)")
-		noCoalesce    = flag.Bool("no-coalesce", false, "disable singleflight coalescing of identical concurrent searches")
-		respCache     = flag.Int("response-cache", 0,
-			"response cache entries, invalidated by per-table versions (0 disables)")
 	)
 	flag.Parse()
 
@@ -118,9 +114,6 @@ func main() {
 		MaxQueue:        *maxQueue,
 		TenantRate:      *rate,
 		TenantBurst:     *burst,
-		DisableCoalesce: *noCoalesce,
-
-		ResponseCacheSize: *respCache,
 	})
 
 	l, err := net.Listen("tcp", *addr)

@@ -133,20 +133,6 @@ func (c *LRU[K, V]) Len() int {
 	return n
 }
 
-// Purge drops every entry.
-func (c *LRU[K, V]) Purge() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[K]*entry[K, V], s.capacity)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
-}
-
 func (s *shard[K, V]) pushFront(e *entry[K, V]) {
 	e.prev = nil
 	e.next = s.head

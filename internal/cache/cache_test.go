@@ -23,10 +23,6 @@ func TestGetPut(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d, want 0", c.Len())
-	}
 }
 
 func TestEvictionLRUOrder(t *testing.T) {
@@ -60,7 +56,6 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("nil cache has nonzero length")
 	}
-	c.Purge() // must not panic
 	if New[string, int](0) != nil || New[string, int](-1) != nil {
 		t.Fatal("non-positive capacity should yield a nil cache")
 	}

@@ -885,14 +885,6 @@ func (e *Engine) RunSQL(ctx context.Context, query string) (*sql.Result, error) 
 	return e.execute(ctx, stmt)
 }
 
-// PlannerStats snapshots the SQL planning layer's counters — access-path
-// and join-order decisions across every query this process executed
-// (searches, validations, direct SQL). It is the engine-level view behind
-// cmd/queststats' planner table.
-func (e *Engine) PlannerStats() sql.PlannerStats {
-	return sql.Stats()
-}
-
 // ColumnStatistics surfaces the source's per-column statistics snapshot.
 // The engine does not care how the source produces it — the single-node
 // wrapper reads its own tables, the sharded source merges per-shard
@@ -908,9 +900,9 @@ func (e *Engine) ColumnStatistics(table, column string) (*relational.ColumnStats
 // Insert routes one row append through the source's write face
 // (wrapper.Inserter) — the serving tier's /v1/insert path. Sources
 // without the face are read-only and return an error. No cache flush
-// happens here: the plan cache, the engine query cache and the serving
-// tier's response cache all validate against per-table versions, so only
-// entries that read the written table go stale.
+// happens here: the plan cache and the engine query cache both validate
+// against per-table versions, so only entries that read the written table
+// go stale.
 func (e *Engine) Insert(table string, row relational.Row) error {
 	ins, ok := e.source.(wrapper.Inserter)
 	if !ok {
@@ -922,21 +914,6 @@ func (e *Engine) Insert(table string, row relational.Row) error {
 	}
 	return ins.Insert(table, row)
 }
-
-// TableVersion surfaces the source's per-table mutation counter
-// (wrapper.TableVersioner); ok is false when the source has no version
-// face or the table is unknown. External caches (the serving tier's
-// response cache) key entries on it.
-func (e *Engine) TableVersion(table string) (uint64, bool) {
-	if tv, ok := e.source.(wrapper.TableVersioner); ok {
-		return tv.TableVersion(table)
-	}
-	return 0, false
-}
-
-// TableVersions snapshots every schema table's version, or nil when the
-// source has no version face.
-func (e *Engine) TableVersions() map[string]uint64 { return e.tableVersions() }
 
 // execute routes a statement to the source, serializing the calls when the
 // source did not declare Execute safe for concurrent use — the engine

@@ -39,16 +39,16 @@ func (r Row) Clone() Row {
 // indexes current through a sorted side-run and accrues per-column
 // statistics deltas, so reads after writes avoid full rebuilds. Every
 // Insert also bumps the table's Version; consumers that cache derived
-// state outside the table (the SQL planner's plan cache, the serving
-// tier's response cache) key it on the version and so observe mutations
-// as cache misses rather than stale reads.
+// state outside the table (the SQL planner's plan cache, the engine's
+// query cache) key it on the version and so observe mutations as cache
+// misses rather than stale reads.
 type Table struct {
 	Schema *TableSchema
 
 	rows []Row
 
 	// version counts mutations (Inserts); external caches key on it.
-	// Atomic so cache-key reads (Version, DataVersion) never race Insert.
+	// Atomic so cache-key reads (Version) never race Insert.
 	version atomic.Uint64
 
 	// pkIndex maps PK value key -> row ordinal (unique).
@@ -536,20 +536,6 @@ func (t *Table) HasSortedIndex(column string) bool {
 	return ok && si.version == t.version.Load()
 }
 
-// SortedIndexedColumns returns the names of the columns with an up-to-date
-// sorted index, in schema order (operator-facing statistic).
-func (t *Table) SortedIndexedColumns() []string {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	var out []string
-	for i := range t.Schema.Columns {
-		if si, ok := t.sortedIndexes[i]; ok && si.version == t.version.Load() {
-			out = append(out, t.Schema.Columns[i].Name)
-		}
-	}
-	return out
-}
-
 // SortedIndexBuildCount returns how many sorted-index builds this table has
 // performed (first builds and stale-version rebuilds alike).
 func (t *Table) SortedIndexBuildCount() int {
@@ -659,20 +645,6 @@ func (db *Database) Tables() []*Table {
 		out = append(out, db.tables[lower(ts.Name)])
 	}
 	return out
-}
-
-// DataVersion folds every table's mutation counter into one value: it
-// changes whenever any row of any table changes, so cross-table derived
-// state (query plans, statistics) can be cached against it. Versions only
-// grow, so the allocation-free sum over the table map is itself strictly
-// increasing (and iteration-order independent). Called on every planner
-// cache probe — keep it cheap.
-func (db *Database) DataVersion() uint64 {
-	var v uint64
-	for _, t := range db.tables {
-		v += t.Version()
-	}
-	return v
 }
 
 // TotalRows returns the number of tuples across all tables.

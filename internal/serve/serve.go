@@ -36,16 +36,13 @@
 // (singleflight) layered on the engine's own query cache, so a thundering
 // herd on a cold key runs the pipeline once.
 //
-// Options.ResponseCacheSize (off by default) adds a response cache in
-// front of the execution path: whole payloads keyed by the
-// tenant-visible request shape and invalidated by per-table versions,
-// never by TTL — an insert into one table evicts exactly the responses
-// that read it and keeps every other table's responses servable. See
-// respCache for the validation contract.
+// Request bodies are capped (1 MiB for /v1/sql, 8 MiB for /v1/insert);
+// a body past its cap is refused with a 413 before admission, so it
+// spends no tenant token.
 //
 // Every typed failure is a JSON body {"error": code, "message": ...} with
-// code one of bad_request, rate_limited, overloaded, deadline_exceeded,
-// canceled, internal.
+// code one of bad_request, too_large, rate_limited, overloaded,
+// deadline_exceeded, canceled, internal.
 package serve
 
 import (
@@ -64,7 +61,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relational"
-	"repro/internal/sql"
 )
 
 // Request headers understood by the server.
@@ -82,6 +78,12 @@ const DefaultTenant = "default"
 // The client never sees it — it is gone — but the access side of the
 // counters distinguishes "we timed out" from "they hung up".
 const StatusClientClosedRequest = 499
+
+// Request body caps, enforced before admission.
+const (
+	maxSQLBody    = 1 << 20 // /v1/sql
+	maxInsertBody = 8 << 20 // /v1/insert
+)
 
 // Options tunes a Server. The zero value selects the documented defaults.
 type Options struct {
@@ -105,18 +107,6 @@ type Options struct {
 	// TenantBurst is the bucket capacity (requests that may land at
 	// once). 0 selects max(1, 2*TenantRate).
 	TenantBurst int
-	// DisableCoalesce turns off singleflight coalescing of identical
-	// concurrent keyword searches (ablation knob: a load generator that
-	// disables it measures uncoalesced engine capacity).
-	DisableCoalesce bool
-	// ResponseCacheSize caps the response cache (entries). 0 — the
-	// default — disables it: response caching changes what a request
-	// costs, so it is opt-in rather than silently inflating capacity
-	// estimates. Entries are invalidated by per-table versions, so the
-	// cache is only effective over engines whose source exposes
-	// wrapper.TableVersioner; responses from sources without the face are
-	// never cached.
-	ResponseCacheSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -147,7 +137,7 @@ func (o Options) withDefaults() Options {
 
 // Stats snapshots the server's per-request counters — plain uint64
 // fields read atomically, the same flat shape as transport.ClientStats,
-// exposed on /v1/stats and by queststats -section serve.
+// exposed on /v1/stats.
 type Stats struct {
 	Requests   uint64 // HTTP requests received across all endpoints
 	Searches   uint64 // keyword searches executed (coalesce leaders)
@@ -159,21 +149,13 @@ type Stats struct {
 	Shed             uint64 // 503s: admitted-load bound exceeded
 	DeadlineExceeded uint64 // 504s: request deadline fired
 	ClientCanceled   uint64 // 499s: client went away mid-request
-	BadRequests      uint64 // 400s
+	BadRequests      uint64 // 400s and 413s (body over its cap)
 	Errors           uint64 // 500s
 
 	RowsReturned uint64 // data rows written into responses
 	RowsInserted uint64 // data rows appended via /v1/insert
 	QueueWaitNs  uint64 // total ns admitted requests waited for a slot
 	ExecNs       uint64 // total ns spent executing searches and SQL
-
-	// Response-cache outcomes; all zero when the cache is disabled.
-	// An invalidation is a probe that found its entry but a dependency
-	// table's version moved — the stale entry is overwritten when the
-	// re-executed response is stored.
-	ResponseCacheHits          uint64
-	ResponseCacheMisses        uint64
-	ResponseCacheInvalidations uint64
 }
 
 type counters struct {
@@ -218,10 +200,6 @@ type Server struct {
 	fmu    sync.Mutex
 	flight map[string]*flightCall
 
-	// rcache is the per-table-version response cache; nil when
-	// Options.ResponseCacheSize is 0.
-	rcache *respCache
-
 	c counters
 }
 
@@ -234,7 +212,6 @@ func New(eng *core.Engine, opt Options) *Server {
 		flight:  map[string]*flightCall{},
 	}
 	s.sem = make(chan struct{}, s.opt.MaxConcurrent)
-	s.rcache = newRespCache(s.opt.ResponseCacheSize)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -251,7 +228,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Requests:   s.c.requests.Load(),
 		Searches:   s.c.searches.Load(),
 		SQLQueries: s.c.sqlQueries.Load(),
@@ -270,12 +247,6 @@ func (s *Server) Stats() Stats {
 		QueueWaitNs:  s.c.queueWaitNs.Load(),
 		ExecNs:       s.c.execNs.Load(),
 	}
-	if s.rcache != nil {
-		st.ResponseCacheHits = s.rcache.hits.Load()
-		st.ResponseCacheMisses = s.rcache.misses.Load()
-		st.ResponseCacheInvalidations = s.rcache.invalidations.Load()
-	}
-	return st
 }
 
 // ---- typed error responses ----
@@ -295,6 +266,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) failBadRequest(w http.ResponseWriter, msg string) {
 	s.c.badRequests.Add(1)
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_request", Message: msg})
+}
+
+// failBody answers a request whose body could not be read: too_large
+// (413) when the body ran past its cap, bad_request otherwise.
+func (s *Server) failBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		s.failBadRequest(w, err.Error())
+		return
+	}
+	s.c.badRequests.Add(1)
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "too_large",
+		Message: fmt.Sprintf("request body over its %d-byte cap", tooLarge.Limit)})
 }
 
 // failCtx maps a context error to its typed response: deadline_exceeded
@@ -438,7 +422,6 @@ type searchPayload struct {
 	Keywords     []string          `json:"keywords"`
 	Explanations []explanationJSON `json:"explanations"`
 	Coalesced    bool              `json:"coalesced,omitempty"`
-	Cached       bool              `json:"cached,omitempty"`
 	ElapsedMs    float64           `json:"elapsed_ms"`
 }
 
@@ -480,21 +463,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Response-cache probe: after admission (cached responses still
-	// spend the tenant's tokens) but before the execution slot — a hit
-	// costs no engine work at all. A keyword search can read any table,
-	// so entries depend on every table; versions are snapshotted before
-	// execution so a mid-flight write invalidates the stored entry.
-	ckey := "search\x00" + q + "\x00" + strconv.Itoa(k) + "\x00" +
-		strconv.FormatBool(execute) + "\x00" + strconv.Itoa(limit)
-	if hit, ok := s.rcache.get(ckey, s.eng.TableVersion); ok {
-		cp := *hit.(*searchPayload)
-		cp.Cached = true
-		writeJSON(w, http.StatusOK, &cp)
-		return
-	}
-	deps := s.eng.TableVersions()
-
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.failBadRequest(w, err.Error())
@@ -512,9 +480,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal", Message: err.Error()})
 		return
 	}
-	// Cache the leader's payload (not the per-request Coalesced copy) so
-	// later hits don't inherit this request's delivery flags.
-	s.rcache.put(ckey, res, deps)
 	if coalesced {
 		s.c.coalesced.Add(1)
 		cp := *res
@@ -543,10 +508,6 @@ func (s *Server) searchCoalesced(ctx context.Context, q string, k int, execute b
 	keywords := core.Tokenize(q)
 	if len(keywords) == 0 {
 		return nil, false, fmt.Errorf("query %q has no keywords", q)
-	}
-	if s.opt.DisableCoalesce {
-		res, err := s.runSearch(ctx, q, keywords, k, execute, limit)
-		return res, false, err
 	}
 	key := coalesceKey(keywords, k, execute, limit)
 	for {
@@ -621,7 +582,6 @@ type sqlPayload struct {
 	Columns   []string `json:"columns"`
 	Rows      [][]any  `json:"rows"`
 	RowCount  int      `json:"row_count"`
-	Cached    bool     `json:"cached,omitempty"`
 	ElapsedMs float64  `json:"elapsed_ms"`
 }
 
@@ -632,9 +592,10 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		s.failBadRequest(w, "use POST")
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxSQLBody)
 	query, err := sqlOf(r)
 	if err != nil {
-		s.failBadRequest(w, err.Error())
+		s.failBody(w, err)
 		return
 	}
 	limit, err := formInt(r, "limit", 1000)
@@ -648,19 +609,6 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
-	// Response-cache probe (see handleSearch). SQL entries depend only
-	// on the tables the plan scanned, so writes to unrelated tables
-	// never invalidate them; the full version snapshot is taken before
-	// execution and narrowed after the plan is known.
-	ckey := "sql\x00" + query + "\x00" + strconv.Itoa(limit)
-	if hit, ok := s.rcache.get(ckey, s.eng.TableVersion); ok {
-		cp := *hit.(*sqlPayload)
-		cp.Cached = true
-		writeJSON(w, http.StatusOK, &cp)
-		return
-	}
-	versions := s.eng.TableVersions()
 
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
@@ -691,33 +639,12 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := encodeRows(res.Rows, limit)
 	s.c.rowsReturned.Add(uint64(len(rows)))
-	payload := &sqlPayload{
+	writeJSON(w, http.StatusOK, &sqlPayload{
 		Columns:   res.Columns,
 		Rows:      rows,
 		RowCount:  len(res.Rows),
 		ElapsedMs: float64(time.Since(started)) / float64(time.Millisecond),
-	}
-	s.rcache.put(ckey, payload, scanDeps(res.Plan, versions))
-	writeJSON(w, http.StatusOK, payload)
-}
-
-// scanDeps narrows a pre-execution version snapshot to the tables the
-// executed plan actually scanned. Nil when the plan (or snapshot) is
-// unavailable — the entry is then not cached.
-func scanDeps(qp *sql.QueryPlan, versions map[string]uint64) map[string]uint64 {
-	if qp == nil || len(versions) == 0 {
-		return nil
-	}
-	deps := make(map[string]uint64, len(qp.Scans))
-	for _, sp := range qp.Scans {
-		name := strings.ToLower(sp.Table)
-		v, ok := versions[name]
-		if !ok {
-			return nil
-		}
-		deps[name] = v
-	}
-	return deps
+	})
 }
 
 // insertPayload is /v1/insert's response body.
@@ -730,8 +657,8 @@ type insertPayload struct {
 // handleInsert appends rows through the engine's write face — the
 // serving tier's half of the mixed read/write hot path. Each insert
 // bumps the written table's version, which is what invalidates exactly
-// the response-cache (and engine/plan cache) entries that read it;
-// nothing here flushes any cache explicitly.
+// the engine query-cache and plan-cache entries that read it; nothing
+// here flushes any cache explicitly.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.c.requests.Add(1)
 	if r.Method != http.MethodPost {
@@ -743,12 +670,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		Table string  `json:"table"`
 		Rows  [][]any `json:"rows"`
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
 	// Numbers arrive as json.Number so integer keys survive without a
 	// float64 round-trip.
 	dec.UseNumber()
 	if err := dec.Decode(&body); err != nil {
-		s.failBadRequest(w, fmt.Sprintf("bad JSON body: %v", err))
+		s.failBody(w, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if strings.TrimSpace(body.Table) == "" {
@@ -839,19 +766,25 @@ func decodeInsertRow(raw []any) (relational.Row, error) {
 }
 
 // sqlOf extracts the statement from a JSON body ({"sql": ...}) or a form
-// field.
+// field. A body read error (the cap included) is returned wrapped.
 func sqlOf(r *http.Request) (string, error) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 		var body struct {
 			SQL string `json:"sql"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return "", fmt.Errorf("bad JSON body: %v", err)
+			return "", fmt.Errorf("bad JSON body: %w", err)
 		}
 		if strings.TrimSpace(body.SQL) == "" {
 			return "", fmt.Errorf(`missing "sql" field`)
 		}
 		return body.SQL, nil
+	}
+	// FormValue drops parse errors; surface the one that matters, an
+	// over-cap form body.
+	var tooLarge *http.MaxBytesError
+	if err := r.ParseForm(); errors.As(err, &tooLarge) {
+		return "", err
 	}
 	q := strings.TrimSpace(r.FormValue("sql"))
 	if q == "" {

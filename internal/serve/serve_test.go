@@ -90,6 +90,14 @@ func doSearch(s *serve.Server, q string, hdr map[string]string) *httptest.Respon
 	return w
 }
 
+func postJSON(s *serve.Server, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	return w
+}
+
 func errorCode(t *testing.T, w *httptest.ResponseRecorder) string {
 	t.Helper()
 	var body struct {
@@ -221,6 +229,123 @@ func TestSQLHavingWithoutGroup(t *testing.T) {
 	}
 }
 
+// TestInsertEndpointErrors pins the write endpoint's typed failures:
+// unknown table, malformed values, and mid-batch failures that report how
+// many rows landed before the bad one.
+func TestInsertEndpointErrors(t *testing.T) {
+	s, _ := newGateServer(t, false, serve.Options{TenantRate: -1})
+
+	w := postJSON(s, "/v1/insert", `{"table": "nope", "rows": [[1]]}`)
+	if w.Code != http.StatusBadRequest || errorCode(t, w) != "bad_request" {
+		t.Fatalf("unknown table: status %d body %s", w.Code, w.Body.String())
+	}
+
+	w = postJSON(s, "/v1/insert", `{"table": "movie", "rows": [[9003, ["nested"], 2025, "drama", 1.0]]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("nested value: status %d body %s", w.Code, w.Body.String())
+	}
+
+	w = postJSON(s, "/v1/insert", `{"rows": [[1]]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("missing table: status %d body %s", w.Code, w.Body.String())
+	}
+	w = postJSON(s, "/v1/insert", `{"table": "movie"}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("missing rows: status %d body %s", w.Code, w.Body.String())
+	}
+
+	// A duplicate primary key mid-batch: the first row lands, the second
+	// fails, and the error says so.
+	w = postJSON(s, "/v1/insert",
+		`{"table": "movie", "rows": [[9004, "First", 2025, "drama", 5.0], [9004, "Dup", 2025, "drama", 5.0]]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("dup pk: status %d body %s", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "1 rows inserted before the failure") {
+		t.Fatalf("dup pk error should report partial progress: %s", w.Body.String())
+	}
+}
+
+// padTo builds a body of exactly n bytes by filling format's one %s with
+// 'x's, so the decoder must read every byte to finish the value.
+func padTo(format string, n int) string {
+	return fmt.Sprintf(format, strings.Repeat("x", n-len(fmt.Sprintf(format, ""))))
+}
+
+// TestBodyCaps: a /v1/sql or /v1/insert body one byte over its cap is
+// refused with a typed 413 before admission — no row lands and no tenant
+// token is spent — while a body exactly at the cap is served.
+func TestBodyCaps(t *testing.T) {
+	const (
+		sqlCap    = 1 << 20
+		insertCap = 8 << 20
+		sqlBody   = `{"sql": "SELECT COUNT(*) AS n FROM movie WHERE title = '%s'"}`
+		formBody  = `sql=SELECT+COUNT(*)+AS+n+FROM+movie+WHERE+title+%%3D+'%s'`
+		insertRow = `{"table": "movie", "rows": [[9005, "%s", 2025, "drama", 5.0]]}`
+	)
+	// One token per tenant, refilled only after ~17 minutes: a request
+	// that spent one would leave the next in-cap request rate-limited.
+	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.001, TenantBurst: 1})
+	do := func(path, ctype, body, tenant string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		req.Header.Set(serve.TenantHeader, tenant)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		return w
+	}
+	countMovies := func(tenant string) float64 {
+		t.Helper()
+		w := do("/v1/sql", "application/json", `{"sql": "SELECT COUNT(*) AS n FROM movie"}`, tenant)
+		var body struct {
+			Rows [][]float64 `json:"rows"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusOK || err != nil || len(body.Rows) != 1 {
+			t.Fatalf("count: status %d body %s", w.Code, w.Body.String())
+		}
+		return body.Rows[0][0]
+	}
+	const form = "application/x-www-form-urlencoded"
+	before := countMovies("count-before")
+
+	for _, tc := range []struct {
+		name, path, ctype, format string
+		cap                       int
+	}{
+		{"sql json", "/v1/sql", "application/json", sqlBody, sqlCap},
+		{"sql form", "/v1/sql", form, formBody, sqlCap},
+		{"insert", "/v1/insert", "application/json", insertRow, insertCap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			over := padTo(tc.format, tc.cap+1)
+			if len(over) != tc.cap+1 {
+				t.Fatalf("over-cap body is %d bytes, want %d", len(over), tc.cap+1)
+			}
+			w := do(tc.path, tc.ctype, over, tc.name)
+			if w.Code != http.StatusRequestEntityTooLarge || errorCode(t, w) != "too_large" {
+				t.Fatalf("over cap: status %d body %.200s, want 413 too_large", w.Code, w.Body.String())
+			}
+			// The same tenant's one token is still there: the at-cap body
+			// is admitted and served.
+			w = do(tc.path, tc.ctype, padTo(tc.format, tc.cap), tc.name)
+			if w.Code != http.StatusOK {
+				t.Fatalf("at cap: status %d body %.200s, want 200", w.Code, w.Body.String())
+			}
+		})
+	}
+
+	st := s.Stats()
+	if st.BadRequests != 3 || st.RateLimited != 0 {
+		t.Fatalf("BadRequests = %d, RateLimited = %d; want 3 and 0", st.BadRequests, st.RateLimited)
+	}
+	if st.Inserts != 1 || st.RowsInserted != 1 {
+		t.Fatalf("Inserts = %d, RowsInserted = %d; want only the at-cap row", st.Inserts, st.RowsInserted)
+	}
+	if after := countMovies("count-after"); after != before+1 {
+		t.Fatalf("movie count %v after the cap tests, want %v", after, before+1)
+	}
+}
+
 func TestRateLimitTyped(t *testing.T) {
 	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.5, TenantBurst: 1})
 
@@ -249,7 +374,7 @@ func TestRateLimitTyped(t *testing.T) {
 func TestOverloadShedsTyped(t *testing.T) {
 	// One execution slot plus one admitted waiter: the third concurrent
 	// request is past MaxConcurrent+MaxQueue and must shed.
-	s, g := newGateServer(t, true, serve.Options{MaxConcurrent: 1, MaxQueue: 1, TenantRate: -1, DisableCoalesce: true})
+	s, g := newGateServer(t, true, serve.Options{MaxConcurrent: 1, MaxQueue: 1, TenantRate: -1})
 
 	first := make(chan *httptest.ResponseRecorder, 1)
 	go func() { first <- doSearch(s, testQuery, nil) }()

@@ -168,9 +168,8 @@
 // table keep serving. Cached index-probe ordinals can therefore never go
 // stale: any mutation of a scanned table changes that table's version
 // and thus the key. The same contract extends upward — the engine's
-// query cache and the serving tier's response cache validate their
-// entries against the same per-table counters (wrapper.TableVersioner)
-// instead of a global epoch.
+// query cache validates its entries against the same per-table counters
+// (wrapper.TableVersioner) instead of a global epoch.
 //
 // Equality indexes are maintained incrementally by Insert; sorted
 // indexes, MATCH posting indexes and statistics snapshots are

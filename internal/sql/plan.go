@@ -271,7 +271,7 @@ func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error
 	var kb strings.Builder
 	kb.WriteString(strconv.FormatUint(db.ID(), 10))
 	kb.WriteByte(0)
-	// Per-table versions, not the whole-database DataVersion: a write to a
+	// Per-table versions, not one whole-database counter: a write to a
 	// table this statement never reads must not evict its plan.
 	for _, tr := range stmt.Tables() {
 		if t := db.Table(tr.Table); t != nil {

@@ -118,8 +118,7 @@ type ReplicaStatus struct {
 	Diverged   bool
 }
 
-// FleetStatus snapshots the replica catalog (diagnostics, tests,
-// queststats -section fleet).
+// FleetStatus snapshots the replica catalog (diagnostics and tests).
 type FleetStatus struct {
 	Configured bool
 	Epoch      uint64

@@ -70,7 +70,7 @@ type replState struct {
 }
 
 // ReplicationStatus reports the server's current epoch, role and last
-// applied op sequence (diagnostics, tests, queststats).
+// applied op sequence (diagnostics and tests).
 func (s *Server) ReplicationStatus() (epoch uint64, role byte, lastSeq uint64) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()

@@ -196,9 +196,9 @@ type Inserter interface {
 }
 
 // TableVersioner is the cache-invalidation face of a source: it reports a
-// table's mutation counter so consumers (the engine's query cache, the
-// serving tier's response cache) can validate cached entries per table
-// instead of flushing everything on any write. The second return is false
+// table's mutation counter so consumers (the engine's query cache) can
+// validate cached entries per table instead of flushing everything on any
+// write. The second return is false
 // for unknown tables. Implementations must be cheap and safe to call
 // concurrently with Insert — FullAccessSource reads the atomic
 // relational.Table version.

@@ -73,7 +73,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/transport"
-	"repro/internal/wal"
 	"repro/internal/wrapper"
 )
 
@@ -136,22 +135,6 @@ type (
 	// fenced epoch, the elected primary, and each replica's rotation
 	// membership and applied sequence.
 	FleetStatus = transport.FleetStatus
-	// ShardWAL is a shard server's durability layer: a group-committed
-	// write-ahead log plus periodic snapshots over one directory. Attach
-	// one to a served shard with RemoteServer-side questshardd -wal-dir,
-	// or open directly with OpenShardWAL for embedded deployments.
-	ShardWAL = wal.Log
-	// WALOptions tunes the durability layer: group-commit batch size and
-	// linger, fsync policy, snapshot cadence.
-	WALOptions = wal.Options
-	// WALRecovery reports what OpenShardWAL reconstructed from disk: the
-	// recovered database, the resume sequence, replayed op count, and
-	// whether a torn tail was discarded.
-	WALRecovery = wal.Recovery
-	// DurabilityStats snapshots a shard WAL's counters (appends, batches,
-	// fsyncs, commit wait, snapshots, recovery) — the durable-write
-	// companion to RemoteClientStats.
-	DurabilityStats = wal.Stats
 	// ReplicaStatus is one replica's row in a FleetStatus.
 	ReplicaStatus = transport.ReplicaStatus
 	// TransportOptions tunes the remote transport: retry policy, pool
@@ -270,24 +253,6 @@ var errNoShards = errors.New("quest: no remote shards given")
 // without an insert path, or remote shard servers whose backend accepts
 // no writes.
 var ErrReadOnlyTopology = shard.ErrReadOnlyTopology
-
-// ErrWALCorrupt is matched (errors.Is) by OpenShardWAL errors that mean
-// the log or snapshot holds damage beyond a torn final record — a CRC
-// mismatch, an impossible length, or an unreplayable op mid-log.
-// Recovery never silently skips such damage.
-var ErrWALCorrupt = wal.ErrCorrupt
-
-// OpenShardWAL opens (or creates) a shard durability directory and
-// recovers its state: the latest valid snapshot is loaded, the log tail
-// replayed on top of it, and a torn final record — a crash mid
-// group-commit — discarded cleanly. base supplies the schema (and, for a
-// brand-new directory, the initial data, which is immediately
-// snapshotted so the directory is self-contained). The recovered
-// database is in Recovery.DB; attach the log to a transport server so
-// every replicated write is group-committed to disk before it is acked.
-func OpenShardWAL(dir string, base *Database, opt WALOptions) (*ShardWAL, *WALRecovery, error) {
-	return wal.Open(dir, base, opt)
-}
 
 // RemoteOptions configures a coordinator over remote shards.
 type RemoteOptions struct {
