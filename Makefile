@@ -7,7 +7,7 @@ GO    ?= go
 PKGS  ?= ./...
 BENCH ?= .
 
-.PHONY: all build test race vet bench bench-smoke bench-check fuzz-smoke serve-smoke cmd-smoke conformance conformance-remote conformance-faults conformance-durability ci
+.PHONY: all build test race vet bench bench-smoke bench-check bench-compare fuzz-smoke serve-smoke cmd-smoke conformance conformance-remote conformance-faults conformance-durability ci
 
 all: build
 
@@ -37,6 +37,17 @@ bench-smoke:
 # a change to the packages it drives cannot silently break the yardstick.
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# End-to-end comparison of the working tree against BASE: PAIRS
+# alternating base/change pairs of `bash benchmark/run.sh --seconds 15`
+# (seeds 1..PAIRS) over WORKLOADS, the base side built in a git worktree
+# under .bench_build/base, then `benchmark -compare`, whose exit status
+# it returns. See scripts/bench-compare.sh.
+PAIRS     ?= 10
+BASE      ?= HEAD
+WORKLOADS ?= all
+bench-compare:
+	bash scripts/bench-compare.sh $(PAIRS) $(BASE) $(WORKLOADS)
 
 # Short fuzz passes: the columnar frame decoder (malformed dictionary /
 # RLE payloads must surface as typed protocol errors, never a panic), the

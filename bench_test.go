@@ -637,38 +637,32 @@ func BenchmarkComponent_MatchPostings(b *testing.B) {
 // BenchmarkComponent_MixedReadWrite: the write-then-read unit of mixed
 // traffic, without the serving tier — one insert into movie followed by
 // a range read whose plan must re-consult that table's statistics and
-// whose scan must see the new row in the sorted index. The incremental
-// sub-benchmark folds the insert into the statistics delta and the
-// index side-run; the rebuild sub-benchmark pays a from-scratch
-// statistics build and index sort per iteration.
+// whose scan must see the new row in the sorted index. Incremental
+// maintenance folds the insert into the statistics delta and the index
+// side-run.
 func BenchmarkComponent_MixedReadWrite(b *testing.B) {
 	read := mustParseSQL(b, "SELECT COUNT(*) AS n FROM movie WHERE production_year >= 1980 AND rating >= 5.0")
-	run := func(b *testing.B, incremental bool) {
-		defer relational.SetIncrementalMaintenance(relational.SetIncrementalMaintenance(incremental))
-		db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 20})
-		src := wrapper.NewFullAccessSource(db)
-		if _, err := src.Execute(read); err != nil { // warm stats and indexes
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 20})
+	src := wrapper.NewFullAccessSource(db)
+	if _, err := src.Execute(read); err != nil { // warm stats and indexes
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := int64(1_000_000 + i)
+		row := quest.Row{
+			relational.Int(id),
+			relational.String_(fmt.Sprintf("Benchmark Movie %d", id)),
+			relational.Int(1960 + id%60),
+			relational.String_("drama"),
+			relational.Float(5.0),
+		}
+		if err := src.Insert("movie", row); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := int64(1_000_000 + i)
-			row := quest.Row{
-				relational.Int(id),
-				relational.String_(fmt.Sprintf("Benchmark Movie %d", id)),
-				relational.Int(1960 + id%60),
-				relational.String_("drama"),
-				relational.Float(5.0),
-			}
-			if err := src.Insert("movie", row); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := src.Execute(read); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := src.Execute(read); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-	b.Run("rebuild", func(b *testing.B) { run(b, false) })
 }

@@ -20,6 +20,19 @@ import (
 // reproduce row for row, in order.
 func unreducedGather(t *testing.T, parts []*relational.Database, stmt *sql.SelectStmt) (*sql.Result, int) {
 	t.Helper()
+	tables, shipped := gatherFragments(t, parts, stmt)
+	res, err := sql.ExecuteRows(parts[0].Schema, stmt, tables)
+	if err != nil {
+		t.Fatalf("ExecuteRows(%s): %v", stmt.SQL(), err)
+	}
+	return res, shipped
+}
+
+// gatherFragments ships every fragment of stmt whole from every shard and
+// concatenates each one's rows in shard order: ExecuteRows' tables
+// argument, plus the rows shipped.
+func gatherFragments(t *testing.T, parts []*relational.Database, stmt *sql.SelectStmt) ([][]relational.Row, int) {
+	t.Helper()
 	frags, err := sql.Fragments(parts[0].Schema, stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -36,11 +49,7 @@ func unreducedGather(t *testing.T, parts []*relational.Database, stmt *sql.Selec
 			shipped += len(res.Rows)
 		}
 	}
-	res, err := sql.ExecuteRows(parts[0].Schema, stmt, tables)
-	if err != nil {
-		t.Fatalf("ExecuteRows(%s): %v", stmt.SQL(), err)
-	}
-	return res, shipped
+	return tables, shipped
 }
 
 // candidateStatements reads the SQL of every statement pinned by the

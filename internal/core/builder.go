@@ -30,14 +30,11 @@ type QueryBuilder struct {
 	// UseLike switches value predicates from MATCH to LIKE '%kw%' for
 	// engines without full-text support.
 	UseLike bool
-	// Limit bounds the number of tuples each generated query returns
-	// (0 = no limit).
-	Limit int
 }
 
 // NewQueryBuilder returns a builder over the given schema.
 func NewQueryBuilder(schema *relational.Schema) *QueryBuilder {
-	return &QueryBuilder{schema: schema, Limit: 0}
+	return &QueryBuilder{schema: schema}
 }
 
 // Build renders one explanation's SQL statement:
@@ -77,11 +74,7 @@ func (qb *QueryBuilder) Build(in *Interpretation) (*sql.SelectStmt, error) {
 		rootTable = strings.ToLower(c.Terms[0].Table)
 	}
 
-	stmt := &sql.SelectStmt{Limit: -1}
-	if qb.Limit > 0 {
-		stmt.Limit = qb.Limit
-	}
-	stmt.Distinct = true
+	stmt := &sql.SelectStmt{Limit: -1, Distinct: true}
 	stmt.From = sql.TableRef{Table: qb.canonicalTable(rootTable)}
 
 	// Order join steps as a BFS from the root table over the tree's FK

@@ -124,28 +124,6 @@ func TestBuilderDistinctAlwaysSet(t *testing.T) {
 	}
 }
 
-func TestBuilderLimitRendered(t *testing.T) {
-	e := fixtureEngine(t)
-	qb := NewQueryBuilder(e.Source().Schema())
-	qb.Limit = 7
-	c := &Configuration{
-		Keywords: []string{"drama"},
-		Terms:    []Term{{Kind: KindDomain, Table: "movie", Column: "genre"}},
-		Score:    1,
-	}
-	ins, err := e.Backward().TopK(c, 1)
-	if err != nil || len(ins) == 0 {
-		t.Fatalf("backward: %v", err)
-	}
-	stmt, err := qb.Build(ins[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stmt.SQL(), "LIMIT 7") {
-		t.Fatalf("limit not rendered: %s", stmt.SQL())
-	}
-}
-
 func TestBuilderJoinOrderRootFirst(t *testing.T) {
 	e := fixtureEngine(t)
 	c := &Configuration{

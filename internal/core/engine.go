@@ -73,8 +73,6 @@ type Options struct {
 	Thesaurus *ontology.Thesaurus
 	// UseLike makes the query builder emit LIKE instead of MATCH.
 	UseLike bool
-	// ResultLimit bounds tuples per generated SQL query (0 = unlimited).
-	ResultLimit int
 	// DisableApriori/DisableFeedback turn off one forward operating mode
 	// (experiment E2/E5 ablations; both false in normal operation).
 	DisableApriori  bool
@@ -192,7 +190,6 @@ func NewEngine(src wrapper.Source, opts Options) *Engine {
 	}
 	e.builder = NewQueryBuilder(src.Schema())
 	e.builder.UseLike = opts.UseLike
-	e.builder.Limit = opts.ResultLimit
 	size := opts.QueryCacheSize
 	if size == 0 {
 		size = DefaultQueryCacheSize

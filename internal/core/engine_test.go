@@ -232,21 +232,3 @@ func TestEngineKDefaulting(t *testing.T) {
 		t.Fatalf("K = %d, want defaulted positive", e.Options().K)
 	}
 }
-
-func TestResultLimitPropagates(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Thesaurus = ontology.DefaultThesaurus()
-	opts.ResultLimit = 2
-	e := NewEngine(wrapper.NewFullAccessSource(fixtureDB(t)), opts)
-	results, err := e.Search("drama")
-	if err != nil || len(results) == 0 {
-		t.Fatalf("search: %v", err)
-	}
-	res, err := e.Execute(results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) > 2 {
-		t.Fatalf("result limit ignored: %d rows", len(res.Rows))
-	}
-}

@@ -1,14 +1,11 @@
 package relational
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // Incremental maintenance keeps the read side cheap under mixed
-// insert/query traffic. Without it, one Insert bumps the table version and
-// the next query pays a whole-column statistics rebuild and a full
-// sorted-index rebuild. With it:
+// insert/query traffic: one Insert bumps the table version, yet the next
+// query pays neither a whole-column statistics rebuild nor a full
+// sorted-index rebuild.
 //
 //   - Column statistics are delta-maintained: Insert records each new cell
 //     in a per-column delta (row/null counts, min/max extension, new value
@@ -28,10 +25,6 @@ import (
 // sampled) so the planner and ExplainAnalyze can report which kind of
 // estimate a plan was built from. MaintenanceStats exposes the counters
 // that make rebuild-avoidance observable.
-//
-// SetIncrementalMaintenance toggles the whole mechanism process-wide
-// (benchmarks use it to pin the rebuild-per-write baseline); it defaults
-// to on.
 
 // Tunables for the mixed read/write hot path. They are variables, not
 // constants, so operators (and benchmarks) can trade estimate staleness
@@ -68,24 +61,6 @@ const (
 // statsDeltaKeyCap bounds the per-column delta key map; a delta that
 // overflows it forces a rebuild instead of an in-place fold.
 const statsDeltaKeyCap = 4096
-
-// incrementalOff flips the process-wide maintenance switch; zero value
-// means maintenance is ON.
-var incrementalOff atomic.Bool
-
-// SetIncrementalMaintenance turns incremental statistics and sorted-index
-// maintenance on or off process-wide and returns the previous setting.
-// Off restores the rebuild-per-write behavior (every Insert invalidates
-// statistics snapshots and sorted indexes wholesale); benchmarks use it to
-// measure the baseline. Toggling is safe at any time: tables self-correct
-// by falling back to full rebuilds for state maintained under the other
-// setting.
-func SetIncrementalMaintenance(on bool) bool {
-	return !incrementalOff.Swap(!on)
-}
-
-// IncrementalMaintenance reports whether incremental maintenance is on.
-func IncrementalMaintenance() bool { return !incrementalOff.Load() }
 
 // statsDelta accumulates what Insert has appended to one column since its
 // base statistics snapshot was built.

@@ -43,7 +43,6 @@ func propRow(rng *rand.Rand, id int64) Row {
 // must equal a from-scratch rebuild exactly on Rows, NullCount, Min and
 // Max, and stay within bounded error on Distinct and the histogram mass.
 func TestPropertyDeltaStatsTolerance(t *testing.T) {
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(true))
 	for _, shards := range []int{1, 3, 7} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + shards)))
@@ -145,19 +144,14 @@ func TestPropertyDeltaStatsTolerance(t *testing.T) {
 }
 
 // rebuildControl computes the from-scratch reference: the same rows in a
-// fresh table, statistics built with incremental maintenance off.
+// fresh table, statistics built by a full sort.
 func rebuildControl(t *testing.T, ts *TableSchema, rows []Row, col string) *ColumnStats {
 	t.Helper()
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(false))
 	ctl := NewTable(ts)
 	for _, row := range rows {
 		if err := ctl.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cs, err := ctl.Stats(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs
+	return buildColumnStats(ctl, ts.ColumnIndex(col))
 }

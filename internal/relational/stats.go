@@ -268,13 +268,12 @@ func buildColumnStats(t *Table, ord int) *ColumnStats {
 // Stats returns the statistics snapshot for the named column, building it
 // on first use and refreshing it whenever the table has been mutated since
 // the cached snapshot was taken: a snapshot whose Version trails the
-// table's current Version is never served. With incremental maintenance on
-// (the default) a refresh within the staleness budget folds the per-column
-// insert delta into the last full snapshot instead of rebuilding —
-// rows/nulls/min/max stay exact, the histogram rides along budget-stale —
-// and budget-exceeding refreshes of large tables rebuild by sampling; see
-// maintain.go. Safe for concurrent use, including concurrently with
-// Insert; the returned object is immutable.
+// table's current Version is never served. A refresh within the staleness
+// budget folds the per-column insert delta into the last full snapshot
+// instead of rebuilding — rows/nulls/min/max stay exact, the histogram
+// rides along budget-stale — and budget-exceeding refreshes of large
+// tables rebuild by sampling; see maintain.go. Safe for concurrent use,
+// including concurrently with Insert; the returned object is immutable.
 func (t *Table) Stats(column string) (*ColumnStats, error) {
 	ord := t.Schema.ColumnIndex(column)
 	if ord < 0 {
@@ -286,17 +285,14 @@ func (t *Table) Stats(column string) (*ColumnStats, error) {
 	if cs, ok := t.colStats[ord]; ok && cs.Version == version {
 		return cs, nil
 	}
-	incremental := IncrementalMaintenance()
-	if incremental {
-		if m, ok := t.statsMaint[ord]; ok && m.withinBudget() {
-			cs := t.applyDeltaLocked(ord, m)
-			t.colStats[ord] = cs
-			t.statsIncremental++
-			return cs, nil
-		}
+	if m, ok := t.statsMaint[ord]; ok && m.withinBudget() {
+		cs := t.applyDeltaLocked(ord, m)
+		t.colStats[ord] = cs
+		t.statsIncremental++
+		return cs, nil
 	}
 	var cs *ColumnStats
-	if incremental && len(t.rows) >= StatsSampleRows {
+	if len(t.rows) >= StatsSampleRows {
 		cs = sampleColumnStats(t, ord)
 		t.statsSampled++
 	} else {
@@ -307,14 +303,10 @@ func (t *Table) Stats(column string) (*ColumnStats, error) {
 	}
 	t.colStats[ord] = cs
 	t.statsBuilds++
-	if incremental {
-		if t.statsMaint == nil {
-			t.statsMaint = make(map[int]*colMaint)
-		}
-		t.statsMaint[ord] = &colMaint{base: cs}
-	} else {
-		delete(t.statsMaint, ord)
+	if t.statsMaint == nil {
+		t.statsMaint = make(map[int]*colMaint)
 	}
+	t.statsMaint[ord] = &colMaint{base: cs}
 	return cs, nil
 }
 

@@ -202,39 +202,10 @@ func TestRangeOrdinals(t *testing.T) {
 	}
 }
 
-// TestSortedIndexStaleVersionRebuild: with incremental maintenance off, a
-// sorted index built before an Insert must be rebuilt on next use, so range
-// scans never miss new rows (the rebuild-per-write baseline).
-func TestSortedIndexStaleVersionRebuild(t *testing.T) {
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(false))
-	tbl := statsTable(t)
-	if _, err := tbl.RangeOrdinals("year", Int(2100), Null(), true, true); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.HasSortedIndex("year") {
-		t.Fatal("sorted index not built")
-	}
-	builds := tbl.SortedIndexBuildCount()
-	tbl.MustInsert(Row{Int(9999), Int(2150), String_("scifi")})
-	if tbl.HasSortedIndex("year") {
-		t.Error("stale sorted index must not report as up to date")
-	}
-	ords, err := tbl.RangeOrdinals("year", Int(2100), Null(), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ords) != 1 {
-		t.Fatalf("post-insert range = %d ordinals, want the new row", len(ords))
-	}
-	if tbl.SortedIndexBuildCount() != builds+1 {
-		t.Errorf("build count = %d, want %d (one rebuild)", tbl.SortedIndexBuildCount(), builds+1)
-	}
-}
-
-// TestSortedIndexSideRun: with incremental maintenance on (the default),
-// inserts land in a sorted side-run instead of invalidating the index —
-// range scans merge the runs on read, no rebuild happens until the run
-// outgrows SortedSideRunThreshold, and results never miss a row.
+// TestSortedIndexSideRun: inserts land in a sorted side-run instead of
+// invalidating the index — range scans merge the runs on read, no rebuild
+// happens until the run outgrows SortedSideRunThreshold, and results never
+// miss a row.
 func TestSortedIndexSideRun(t *testing.T) {
 	tbl := statsTable(t)
 	if _, err := tbl.RangeOrdinals("year", Int(1970), Int(1980), true, true); err != nil {

@@ -33,11 +33,10 @@ func (r Row) Clone() Row {
 //
 // Index invalidation rules: an equality index built by EnsureIndex is
 // maintained incrementally by Insert (the new ordinal is appended to its
-// posting), so indexes built mid-population stay correct. Sorted indexes
-// and statistics snapshots are version-checked; with incremental
-// maintenance on (the default, see maintain.go) Insert keeps sorted
-// indexes current through a sorted side-run and accrues per-column
-// statistics deltas, so reads after writes avoid full rebuilds. Every
+// posting), so indexes built mid-population stay correct. Insert keeps
+// sorted indexes current through a sorted side-run and accrues per-column
+// statistics deltas (see maintain.go); statistics snapshots are
+// version-checked, so reads after writes avoid full rebuilds. Every
 // Insert also bumps the table's Version; consumers that cache derived
 // state outside the table (the SQL planner's plan cache, the engine's
 // query cache) key it on the version and so observe mutations as cache
@@ -64,10 +63,8 @@ type Table struct {
 	// again).
 	indexBuilds int
 	// sortedIndexes maps column ordinal -> row ordinals sorted by value
-	// (range-scan support). Each entry records the version it reflects;
-	// with incremental maintenance Insert keeps current entries current by
-	// absorbing rows into a sorted side-run, otherwise a stale entry is
-	// rebuilt on next access.
+	// (range-scan support). Insert keeps every entry current by absorbing
+	// rows into a sorted side-run.
 	sortedIndexes map[int]*sortedIndex
 	sortedBuilds  int
 	sortedMerges  int // read-time main+side merges (see RangeOrdinals)
@@ -83,16 +80,13 @@ type Table struct {
 }
 
 // sortedIndex holds a column's non-NULL row ordinals ordered by
-// (value ascending under Compare, ordinal ascending). The version pins the
-// Table.Version it reflects; a mismatch means the table mutated without
-// maintenance and the index must be rebuilt before use. Under incremental
-// maintenance, inserts land in side — also (value, ordinal)-ordered, and
-// ordinal-disjoint above ords — which range reads merge on the fly until
-// it exceeds SortedSideRunThreshold and is collapsed into ords.
+// (value ascending under Compare, ordinal ascending). Inserts land in
+// side — also (value, ordinal)-ordered, and ordinal-disjoint above ords —
+// which range reads merge on the fly until it exceeds
+// SortedSideRunThreshold and is collapsed into ords.
 type sortedIndex struct {
-	version uint64
-	ords    []int
-	side    []int
+	ords []int
+	side []int
 }
 
 func columnError(t *Table, column string) error {
@@ -159,8 +153,7 @@ func (t *Table) Insert(row Row) error {
 	}
 	ord := len(t.rows)
 	t.rows = append(t.rows, coerced)
-	oldVersion := t.version.Load()
-	newVersion := t.version.Add(1)
+	t.version.Add(1)
 	for colOrd, idx := range t.colIndexes {
 		if coerced[colOrd].IsNull() {
 			continue
@@ -168,27 +161,17 @@ func (t *Table) Insert(row Row) error {
 		k := coerced[colOrd].Key()
 		idx[k] = append(idx[k], ord)
 	}
-	if IncrementalMaintenance() {
-		t.maintainInsertLocked(coerced, ord, oldVersion, newVersion)
-	} else if len(t.statsMaint) > 0 {
-		// Maintenance was toggled off mid-stream: deltas would silently
-		// miss this insert, so drop them and fall back to full rebuilds.
-		t.statsMaint = nil
-	}
+	t.maintainInsertLocked(coerced, ord)
 	return nil
 }
 
 // maintainInsertLocked absorbs one inserted row into the incremental
-// maintenance structures: each current sorted index takes the row into its
+// maintenance structures: each sorted index takes the row into its
 // side-run (collapsing when the run outgrows SortedSideRunThreshold), and
 // each column with built statistics accrues the new cell in its delta.
 // Caller holds idxMu.
-func (t *Table) maintainInsertLocked(row Row, ord int, oldVersion, newVersion uint64) {
+func (t *Table) maintainInsertLocked(row Row, ord int) {
 	for colOrd, si := range t.sortedIndexes {
-		if si.version != oldVersion {
-			continue // already stale; next read rebuilds it wholesale
-		}
-		si.version = newVersion
 		v := row[colOrd]
 		if v.IsNull() {
 			continue // NULL cells are absent from sorted indexes
@@ -418,11 +401,10 @@ func (t *Table) DistinctCount(column string) (int, error) {
 	return len(idx), nil
 }
 
-// ensureSortedLocked returns the up-to-date sorted index for the column
-// ordinal, building or rebuilding it when missing or stale. Caller holds
-// idxMu.
+// ensureSortedLocked returns the sorted index for the column ordinal,
+// building it when missing. Caller holds idxMu.
 func (t *Table) ensureSortedLocked(ord int) *sortedIndex {
-	if si, ok := t.sortedIndexes[ord]; ok && si.version == t.version.Load() {
+	if si, ok := t.sortedIndexes[ord]; ok {
 		return si
 	}
 	ords := make([]int, 0, len(t.rows))
@@ -435,7 +417,7 @@ func (t *Table) ensureSortedLocked(ord int) *sortedIndex {
 	sort.SliceStable(ords, func(a, b int) bool {
 		return Compare(t.rows[ords[a]][ord], t.rows[ords[b]][ord]) < 0
 	})
-	si := &sortedIndex{version: t.version.Load(), ords: ords}
+	si := &sortedIndex{ords: ords}
 	if t.sortedIndexes == nil {
 		t.sortedIndexes = make(map[int]*sortedIndex)
 	}
@@ -452,8 +434,7 @@ func (t *Table) ensureSortedLocked(ord int) *sortedIndex {
 // unless the sorted side-run contributes rows (in which case a fresh merged
 // slice is allocated) it is a sub-slice of the shared index — callers must
 // treat it as read-only either way. A sorted index is built on first use
-// and rebuilt whenever the table version moved without maintenance, so a
-// stale index is never consulted: range scans always see every row.
+// and kept current by Insert, so range scans always see every row.
 func (t *Table) RangeOrdinals(column string, lo, hi Value, loInc, hiInc bool) ([]int, error) {
 	ord := t.Schema.ColumnIndex(column)
 	if ord < 0 {
@@ -523,8 +504,8 @@ func (t *Table) RangeOrdinals(column string, lo, hi Value, loInc, hiInc bool) ([
 	return merged, nil
 }
 
-// HasSortedIndex reports whether an up-to-date sorted index exists for the
-// column (it does not trigger a build).
+// HasSortedIndex reports whether a sorted index exists for the column (it
+// does not trigger a build).
 func (t *Table) HasSortedIndex(column string) bool {
 	ord := t.Schema.ColumnIndex(column)
 	if ord < 0 {
@@ -532,12 +513,12 @@ func (t *Table) HasSortedIndex(column string) bool {
 	}
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	si, ok := t.sortedIndexes[ord]
-	return ok && si.version == t.version.Load()
+	_, ok := t.sortedIndexes[ord]
+	return ok
 }
 
 // SortedIndexBuildCount returns how many sorted-index builds this table has
-// performed (first builds and stale-version rebuilds alike).
+// performed (first builds and side-run collapses alike).
 func (t *Table) SortedIndexBuildCount() int {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()

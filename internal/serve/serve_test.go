@@ -346,6 +346,35 @@ func TestBodyCaps(t *testing.T) {
 	}
 }
 
+// TestKeywordCap: a search of more keywords than the cap is refused with a
+// typed 400 before admission, so it is quick and spends no tenant token;
+// a search exactly at the cap (8 keywords matching nothing, so the
+// pipeline stays cheap) is admitted on that same token.
+func TestKeywordCap(t *testing.T) {
+	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.001, TenantBurst: 1})
+	hdr := map[string]string{serve.TenantHeader: "wordy"}
+	words := make([]string, 10000)
+	for i := range words {
+		words[i] = fmt.Sprintf("zqx%d", i)
+	}
+	started := time.Now()
+	w := doSearch(s, strings.Join(words, " "), hdr)
+	if w.Code != http.StatusBadRequest || errorCode(t, w) != "too_many_keywords" {
+		t.Fatalf("10000 keywords: status %d body %.200s, want 400 too_many_keywords", w.Code, w.Body.String())
+	}
+	if el := time.Since(started); el > 2*time.Second {
+		t.Fatalf("10000-keyword rejection took %v", el)
+	}
+	if w := doSearch(s, strings.Join(words[:8], " "), hdr); w.Code != http.StatusOK {
+		t.Fatalf("8 keywords: status %d body %.200s, want 200", w.Code, w.Body.String())
+	}
+	st := s.Stats()
+	if st.BadRequests != 1 || st.RateLimited != 0 || st.Searches != 1 {
+		t.Fatalf("BadRequests = %d, RateLimited = %d, Searches = %d; want 1, 0, 1",
+			st.BadRequests, st.RateLimited, st.Searches)
+	}
+}
+
 func TestRateLimitTyped(t *testing.T) {
 	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.5, TenantBurst: 1})
 

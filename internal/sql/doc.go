@@ -8,8 +8,7 @@
 //
 // Execution is layered:
 //
-//	Parse → planSelect (planner) → streaming pipeline → finish (projection,
-//	aggregation, DISTINCT, ordering, limits)
+//	Parse → planSelect (planner) → streaming pipeline → statement tail
 //
 // The planner (plan.go) sits between Execute and the interpreter and makes
 // four decisions per statement:
@@ -66,10 +65,16 @@
 // is what makes them matter on skewed data — the pre-statistics planner
 // halved the estimate per predicate and executed joins in written order.
 //
-// The executor streams rows through the join pipeline with callback
-// iterators, which gives two short-circuit modes: the streaming Exists
-// stops at the first surviving tuple, and Execute stops at OFFSET+LIMIT
-// rows when nothing downstream reorders or merges.
+// # Statement tail
+//
+// Execute, ExecuteStream, the streaming Exists and the coordinator's
+// ExecuteRows feed their rows, in pipeline order, to one tail (runTail):
+// project, drop a DISTINCT duplicate of an earlier row (the first is
+// kept), skip OFFSET rows, emit up to LIMIT and stop the pipeline there
+// (PlannerStats.LimitShortCircuits). The first error among the rows
+// projected before the stop is returned. Only GROUP BY, aggregates and
+// ORDER BY collect every row and run finish, which ExecuteFullScan, the
+// reference, runs for every statement.
 //
 // # Existence by index walk
 //
@@ -86,11 +91,11 @@
 // with no residual ON conjunct and no WHERE conjunct placed on it; no
 // final filter; every scan's remaining pushed conjuncts compiled (the
 // conjuncts its access path serves are gone already); no GROUP BY,
-// aggregate or HAVING, and no OFFSET; a projection of stars and column
+// aggregate, HAVING, OFFSET or LIMIT 0; a projection of stars and column
 // references that resolve against the joined columns, and an ORDER BY of
 // such references or none. The last rule keeps Exists' error parity with
-// Execute: the streaming path evaluates the projection and ORDER BY on its
-// first row, and on an eligible statement those cannot fail.
+// Execute: the streaming path evaluates the projection, and the ORDER BY
+// keys on its first row, and on an eligible statement those cannot fail.
 //
 // The walk roots the join tree — each step links its right scan to the
 // scan owning its left key column — where a walk that finds no row is
@@ -203,13 +208,12 @@
 //     own index access paths — and returns the qualifying rows in schema
 //     column order. Fragment SQL()-serializes, so any engine that answers
 //     a single-table SELECT can serve it.
-//   - What the coordinator merges. ExecuteRows runs joins, the full WHERE
-//     (re-evaluating pushed conjuncts is harmless — pushdown is a
-//     bandwidth optimization, never the only evaluation), projection,
-//     aggregation, DISTINCT, ordering and limits over the gathered rows
-//     with the reference interpreter's semantics, so the result is
-//     multiset-identical to single-node execution over the union of the
-//     partitions. Errors keep their per-row surfacing: a conjunct no
+//   - What the coordinator merges. ExecuteRows runs joins and the full
+//     WHERE (re-evaluating pushed conjuncts is harmless — pushdown is a
+//     bandwidth optimization, never the only evaluation) over the gathered
+//     rows with the reference interpreter's semantics, then the statement
+//     tail, so the result is multiset-identical to single-node execution
+//     over the union of the partitions. Errors keep their per-row surfacing: a conjunct no
 //     backend could check still fails at the coordinator exactly where
 //     the interpreter would fail it.
 //   - Partition pruning. A fragment whose pushed conjuncts pin the

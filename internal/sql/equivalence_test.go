@@ -114,9 +114,9 @@ func rowMultiset(res *Result) []string {
 
 // checkEquivalent runs src through the planned executor and the full-scan
 // reference and reports any divergence. Queries with LIMIT/OFFSET but no
-// total order compare row counts only (which rows are kept is legitimately
-// order-dependent). It is goroutine-safe so the generated suite can fan
-// out.
+// total order compare row counts and existence only (which rows are kept
+// is legitimately order-dependent). It is goroutine-safe so the generated
+// suite can fan out.
 func checkEquivalent(db *relational.Database, src string) error {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -136,15 +136,6 @@ func checkEquivalent(db *relational.Database, src string) error {
 	if len(planned.Rows) != len(reference.Rows) {
 		return fmt.Errorf("row-count divergence for %q: planned=%d reference=%d", src, len(planned.Rows), len(reference.Rows))
 	}
-	if stmt.Limit >= 0 || stmt.Offset > 0 {
-		return nil
-	}
-	p, r := rowMultiset(planned), rowMultiset(reference)
-	for i := range p {
-		if p[i] != r[i] {
-			return fmt.Errorf("row divergence for %q:\n  planned   %s\n  reference %s", src, p[i], r[i])
-		}
-	}
 
 	// The existence mode must agree with materialized emptiness.
 	exists, err := Exists(db, stmt)
@@ -153,6 +144,15 @@ func checkEquivalent(db *relational.Database, src string) error {
 	}
 	if exists != (len(reference.Rows) > 0) {
 		return fmt.Errorf("Exists divergence for %q: %v vs %d rows", src, exists, len(reference.Rows))
+	}
+	if stmt.Limit >= 0 || stmt.Offset > 0 {
+		return nil
+	}
+	p, r := rowMultiset(planned), rowMultiset(reference)
+	for i := range p {
+		if p[i] != r[i] {
+			return fmt.Errorf("row divergence for %q:\n  planned   %s\n  reference %s", src, p[i], r[i])
+		}
 	}
 	return nil
 }
@@ -237,6 +237,22 @@ func TestPlannerEquivalenceTableDriven(t *testing.T) {
 			WHERE movie.genre = 'drama' GROUP BY cast_info.role`,
 		"SELECT COUNT(*), MIN(year), MAX(year) FROM movie WHERE genre = 'noir'",
 		"SELECT DISTINCT genre FROM movie WHERE year > 1990",
+		// DISTINCT under OFFSET/LIMIT: both count distinct rows, and the
+		// tail stops once OFFSET+LIMIT of them survived.
+		"SELECT DISTINCT genre FROM movie LIMIT 2 OFFSET 1",
+		"SELECT DISTINCT genre FROM movie LIMIT 50 OFFSET 2",
+		"SELECT DISTINCT genre FROM movie LIMIT 0",
+		"SELECT DISTINCT year FROM movie WHERE genre = 'drama' OFFSET 3",
+		"SELECT DISTINCT genre FROM movie OFFSET 1000",
+		`SELECT DISTINCT cast_info.role FROM movie
+			JOIN cast_info ON cast_info.movie_id = movie.movie_id LIMIT 1 OFFSET 1`,
+		`SELECT DISTINCT movie.title FROM cast_info
+			JOIN movie ON movie.movie_id = cast_info.movie_id
+			JOIN person ON person.person_id = cast_info.person_id
+			WHERE person.person_id IN (5, 9, 13) LIMIT 4 OFFSET 2`,
+		`SELECT DISTINCT person.name, movie.genre FROM person
+			LEFT JOIN cast_info ON cast_info.person_id = person.person_id
+			LEFT JOIN movie ON movie.movie_id = cast_info.movie_id LIMIT 7 OFFSET 5`,
 		"SELECT title FROM movie WHERE genre = 'drama' ORDER BY movie_id LIMIT 5",
 		"SELECT title FROM movie ORDER BY year DESC, title, movie_id",
 		// Index-narrowed scans: a small filtered left side narrows the
@@ -558,11 +574,9 @@ func executeWide(db *relational.Database, stmt *SelectStmt) (*Result, error) {
 	}
 	rc := p.newRunCounts()
 	rc.noNarrow = true
-	rel, _, err := p.materialize(db, rc, -1)
-	if err != nil {
-		return nil, err
-	}
-	return finish(rel, stmt)
+	return collect(&relation{cols: p.outCols}, stmt, func(yield func(relational.Row) error) error {
+		return p.run(db, rc, yield)
+	})
 }
 
 // orderedRows renders a result's rows in emission order.

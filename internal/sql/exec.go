@@ -15,7 +15,8 @@ import (
 // the planner chose (access paths, join strategies, predicate placement)
 // annotated with the cardinalities this execution actually observed next
 // to the planner's estimates; it is nil for results produced by
-// ExecuteFullScan.
+// ExecuteFullScan. Rows are read-only: a bare single-table SELECT * holds
+// the table's stored rows themselves.
 type Result struct {
 	Columns []string
 	Rows    []relational.Row
@@ -105,32 +106,17 @@ func (r *relation) resolve(ref *ColumnRef) (int, error) {
 // Execute runs a parsed SELECT against the database and materializes the
 // result. It is the single entry point the wrapper module uses. The FROM/
 // WHERE part runs through the cost-aware planner (secondary-index access,
-// predicate pushdown, build-side selection); projection, aggregation,
-// ordering and limits run over the planned relation.
+// predicate pushdown, build-side selection); the statement tail runs over
+// the planned relation (see ExecuteStream).
 func Execute(db *relational.Database, stmt *SelectStmt) (*Result, error) {
 	p, err := planSelect(db, stmt)
 	if err != nil {
 		return nil, err
 	}
-	limit := -1
-	if stmt.Limit >= 0 && len(stmt.OrderBy) == 0 && len(stmt.GroupBy) == 0 && !anyAgg(stmt) &&
-		(!stmt.Distinct || (stmt.Limit <= 1 && stmt.Offset == 0)) {
-		// Nothing downstream reorders or merges rows, so the pipeline can
-		// stop as soon as OFFSET+LIMIT rows survive. DISTINCT normally
-		// needs every row, but its first output row is always the first
-		// input row, so LIMIT 1 OFFSET 0 still short-circuits — the shape
-		// of every endpoint existence probe (wrapper.ExecuteExists).
-		limit = stmt.Offset + stmt.Limit
-	}
 	rc := p.newRunCounts()
-	rel, stopped, err := p.materialize(db, rc, limit)
-	if err != nil {
-		return nil, err
-	}
-	if stopped {
-		counters.limitShort.Add(1)
-	}
-	res, err := finish(rel, stmt)
+	res, err := collect(&relation{cols: p.outCols}, stmt, func(yield func(relational.Row) error) error {
+		return p.run(db, rc, yield)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,89 +1,115 @@
 package sql
 
 import (
+	"errors"
+
 	"repro/internal/relational"
 )
 
 // ExecuteStream runs a SELECT and delivers its result incrementally: start
 // is called exactly once with the column header before any row, then emit
-// once per result row, in result order. For statements whose tail is
-// order-insensitive (no aggregation, DISTINCT or ORDER BY) the rows flow
-// straight out of the planned pipeline with O(1) working memory — OFFSET
-// and LIMIT are applied inline and a satisfied LIMIT stops the pipeline
-// through the usual short-circuit. Statements that need the whole row set
-// first (a sort, a group) fall back to materialized execution and replay
-// the finished result, trading the memory bound for unchanged semantics.
-//
-// Error parity with Execute is exact either way: the same rows are
-// projected in the same order (including the rows an OFFSET skips and the
-// one row a LIMIT 0 still probes), so the first error Execute would
-// surface is the first error ExecuteStream surfaces. An error from start
-// or emit aborts the pipeline and is returned as-is.
-//
-// Emitted rows are read-only: a bare single-table SELECT * emits the
-// table's stored rows themselves, without a copy.
+// once per result row: exactly Execute's rows, in Execute's order, and
+// the first error among the rows projected before the pipeline stops (see
+// runTail). An error from start or emit aborts the pipeline and is
+// returned as-is.
 func ExecuteStream(db *relational.Database, stmt *SelectStmt, start func(cols []string) error, emit func(row relational.Row) error) error {
-	if len(stmt.GroupBy) > 0 || anyAgg(stmt) || stmt.Distinct || len(stmt.OrderBy) > 0 {
-		res, err := Execute(db, stmt)
-		if err != nil {
-			return err
-		}
-		if err := start(res.Columns); err != nil {
-			return err
-		}
-		for _, r := range res.Rows {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	p, err := planSelect(db, stmt)
 	if err != nil {
 		return err
 	}
-	fullRel := &relation{cols: p.outCols}
-	if err := start(projectionColumns(fullRel, stmt)); err != nil {
+	rows := func(yield func(relational.Row) error) error { return p.run(db, nil, yield) }
+	return runStatement(&relation{cols: p.outCols}, stmt, rows, start, emit)
+}
+
+// runStatement runs stmt's tail over the rows rows yields, whose columns
+// are rel's: through runTail, or, for GROUP BY, aggregates and ORDER BY,
+// by collecting every row, finishing and replaying.
+func runStatement(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error, start func([]string) error, emit func(relational.Row) error) error {
+	if len(stmt.GroupBy) == 0 && !anyAgg(stmt) && len(stmt.OrderBy) == 0 {
+		if err := start(projectionColumns(rel, stmt)); err != nil {
+			return err
+		}
+		return runTail(rel, stmt, rows, emit)
+	}
+	all := &relation{cols: rel.cols}
+	if err := rows(func(row relational.Row) error { all.rows = append(all.rows, row); return nil }); err != nil {
 		return err
 	}
-	// Mirror Execute's short-circuit exactly: the pipeline stops once
-	// OFFSET+LIMIT rows survived, and — like materialize, which appends
-	// before checking — the stopping row is still projected, so a
-	// projection error on it surfaces here too.
-	cap := -1
-	if stmt.Limit >= 0 {
-		cap = stmt.Offset + stmt.Limit
+	res, err := finish(all, stmt)
+	if err != nil {
+		return err
 	}
-	// A bare single-table SELECT * projects every row to itself: emit the
-	// stored row rather than a copy (the sink contract makes it read-only).
+	if err := start(res.Columns); err != nil {
+		return err
+	}
+	for _, r := range res.Rows {
+		if err := emit(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collect runs stmt over rows (see runStatement) into a Result.
+func collect(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error) (*Result, error) {
+	res := &Result{Rows: []relational.Row{}}
+	err := runStatement(rel, stmt, rows,
+		func(cols []string) error { res.Columns = cols; return nil },
+		func(row relational.Row) error { res.Rows = append(res.Rows, row); return nil })
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runTail is the order-insensitive statement tail behind Execute,
+// ExecuteStream, Exists and ExecuteRows: it projects each row rows yields,
+// drops a DISTINCT duplicate of an earlier projection (keeping the first),
+// skips OFFSET rows and emits the rest in yield order. Once OFFSET+LIMIT
+// rows survived it stops rows and counts one short-circuit; LIMIT 0 runs
+// nothing. The first error from a projection, rows or emit is returned.
+// A bare single-table SELECT * emits the yielded rows without a copy.
+func runTail(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error, emit func(relational.Row) error) error {
+	if stmt.Limit == 0 {
+		return nil
+	}
 	bareStar := len(stmt.Joins) == 0 && len(stmt.Items) == 1 && stmt.Items[0].Star
-	seen, stopped := 0, false
-	err = p.run(db, nil, func(row relational.Row) error {
+	var seen map[uint64][]relational.Row // DISTINCT rows by hashValues
+	n := 0                               // rows past DISTINCT so far
+	err := rows(func(row relational.Row) error {
 		proj := row
 		if !bareStar {
-			var perr error
-			if proj, perr = projectRow(fullRel, row, stmt); perr != nil {
-				return perr
+			var err error
+			if proj, err = projectRow(rel, row, stmt); err != nil {
+				return err
 			}
 		}
-		seen++
-		if seen > stmt.Offset && (cap < 0 || seen <= cap) {
-			if eerr := emit(proj); eerr != nil {
-				return eerr
+		if stmt.Distinct {
+			k := hashValues(proj)
+			for _, prev := range seen[k] {
+				if valuesEqual(prev, proj) {
+					return nil
+				}
+			}
+			if seen == nil {
+				seen = make(map[uint64][]relational.Row)
+			}
+			seen[k] = append(seen[k], proj)
+		}
+		n++
+		if n > stmt.Offset {
+			if err := emit(proj); err != nil {
+				return err
 			}
 		}
-		if cap >= 0 && seen >= cap {
-			stopped = true
+		if stmt.Limit > 0 && n == stmt.Offset+stmt.Limit {
+			counters.limitShort.Add(1)
 			return errStopIteration
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if errors.Is(err, errStopIteration) {
+		return nil
 	}
-	if stopped {
-		counters.limitShort.Add(1)
-	}
-	return nil
+	return err
 }

@@ -159,3 +159,67 @@ func TestExecuteStreamBareStarEmitsStoredRows(t *testing.T) {
 		}
 	}
 }
+
+// TestDistinctLimitShortCircuits: under DISTINCT, LIMIT still stops the
+// pipeline once OFFSET+LIMIT distinct rows survived — on Execute,
+// ExecuteStream and ExecuteRows alike, one LimitShortCircuits each — and
+// the rows are the unlimited result's first distinct rows.
+func TestDistinctLimitShortCircuits(t *testing.T) {
+	db := testDB(t)
+	const join = " FROM cast_info JOIN movie ON movie.movie_id = cast_info.movie_id"
+	for _, src := range []string{
+		"SELECT DISTINCT movie.title" + join,
+		"SELECT DISTINCT cast_info.role" + join,
+		"SELECT DISTINCT title FROM movie",
+	} {
+		all, err := Execute(db, mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt := mustParse(t, src+" LIMIT 2")
+		tables := make([][]relational.Row, len(stmt.Tables()))
+		for i, tr := range stmt.Tables() {
+			tables[i] = db.Table(tr.Table).Rows()
+		}
+		for name, run := range map[string]func() ([]relational.Row, error){
+			"Execute": func() ([]relational.Row, error) {
+				res, err := Execute(db, stmt)
+				if err != nil {
+					return nil, err
+				}
+				return res.Rows, nil
+			},
+			"ExecuteStream": func() ([]relational.Row, error) {
+				_, rows, err := streamAll(t, db, stmt.SQL())
+				return rows, err
+			},
+			"ExecuteRows": func() ([]relational.Row, error) {
+				res, err := ExecuteRows(db.Schema, stmt, tables)
+				if err != nil {
+					return nil, err
+				}
+				return res.Rows, nil
+			},
+		} {
+			before := Stats().LimitShortCircuits
+			rows, err := run()
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, stmt.SQL(), err)
+			}
+			if got := Stats().LimitShortCircuits - before; got != 1 {
+				t.Errorf("%s %q: LimitShortCircuits rose by %d, want 1", name, stmt.SQL(), got)
+			}
+			if len(rows) != 2 {
+				t.Fatalf("%s %q: %d rows, want 2", name, stmt.SQL(), len(rows))
+			}
+			if name == "ExecuteRows" {
+				continue // the written join order; Execute's may differ
+			}
+			for i, r := range rows {
+				if !bytes.Equal(AppendRow(nil, r), AppendRow(nil, all.Rows[i])) {
+					t.Errorf("%s %q row %d: %v, want %v", name, stmt.SQL(), i, r, all.Rows[i])
+				}
+			}
+		}
+	}
+}

@@ -31,15 +31,11 @@ import (
 // queries (core's PruneEmpty): their cost stops scaling with result size.
 // A plan with a join tree (newExistsPlan) is answered by the index walk,
 // which builds no joined row; any other plan streams through the planned
-// pipeline and stops at its first surviving tuple.
+// pipeline and the statement tail and stops at the tail's first row.
 func Exists(db *relational.Database, stmt *SelectStmt) (bool, error) {
-	if stmt.Limit == 0 {
-		return false, nil
-	}
-	if len(stmt.GroupBy) > 0 || anyAgg(stmt) || (stmt.Distinct && stmt.Offset > 0) {
+	if len(stmt.GroupBy) > 0 || anyAgg(stmt) {
 		// Aggregation changes the row count (a global aggregate always
-		// yields one row) and DISTINCT interacts with OFFSET; both are
-		// rare for validation queries, so fall back to full execution.
+		// yields one row); rare for validation queries, so execute.
 		res, err := Execute(db, stmt)
 		if err != nil {
 			return false, err
@@ -68,39 +64,33 @@ func (p *plannedQuery) existsWalk(db *relational.Database) (bool, error) {
 	return p.semi.exists(bt), nil
 }
 
-// existsStream answers Exists by streaming the planned pipeline until
-// OFFSET+1 rows survived.
+// existsStream answers Exists by running the statement tail until it
+// emits a row. The tail ignores ORDER BY, so its keys are evaluated on the
+// first pipeline row: a bad order key fails here as in Execute, and
+// pruneEmpty marks the validation failed rather than empty.
 func (p *plannedQuery) existsStream(db *relational.Database, stmt *SelectStmt) (bool, error) {
-	need := stmt.Offset + 1
-	count := 0
-	fullRel := &relation{cols: p.outCols}
-	columns := projectionColumns(fullRel, stmt)
-	err := p.run(db, nil, func(row relational.Row) error {
-		count++
-		if count == 1 {
-			// Error parity with Execute, which resolves the projection and
-			// ORDER BY per row: evaluate them once on the first surviving
-			// row so a statement Execute would reject (unknown projection
-			// column, bad order key) fails here too instead of silently
-			// reporting existence — pruneEmpty relies on that error to
-			// mark validations as failed rather than empty.
-			proj, err := projectRow(fullRel, row, stmt)
-			if err != nil {
-				return err
+	rel := &relation{cols: p.outCols}
+	checkOrder, found := len(stmt.OrderBy) > 0, false
+	rows := func(yield func(relational.Row) error) error {
+		return p.run(db, nil, func(row relational.Row) error {
+			if checkOrder {
+				checkOrder = false
+				proj, err := projectRow(rel, row, stmt)
+				if err != nil {
+					return err
+				}
+				if _, err := orderKeysRow(rel, row, stmt, projectionColumns(rel, stmt), proj); err != nil {
+					return err
+				}
 			}
-			if _, err := orderKeysRow(fullRel, row, stmt, columns, proj); err != nil {
-				return err
-			}
-		}
-		if count >= need {
-			return errStopIteration
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
+			return yield(row)
+		})
 	}
-	return count >= need, nil
+	err := runTail(rel, stmt, rows, func(relational.Row) error {
+		found = true
+		return errStopIteration
+	})
+	return found, err
 }
 
 // existsPlan is the join tree of an eligible plan, built once at plan
@@ -135,13 +125,13 @@ type existsEdge struct {
 // scans, every step an inner join on exactly one equi-key column with no
 // residual ON conjunct and no WHERE conjunct placed on it, no final
 // filter, and every scan's remaining pushed conjuncts compiled. The
-// statement has no GROUP BY, aggregate or HAVING and no OFFSET, and its
+// statement has no GROUP BY, aggregate, HAVING, OFFSET or LIMIT 0, and its
 // projection and ORDER BY are stars or column references that resolve
-// against the joined columns: Exists evaluates those on the first row for
-// error parity with Execute, and on such a statement they cannot fail.
+// against the joined columns: the streaming Exists evaluates those, and on
+// such a statement they cannot fail.
 func newExistsPlan(p *plannedQuery, stmt *SelectStmt, nodes []*scanNode, nodeTables []*relational.Table) *existsPlan {
 	if len(p.steps) == 0 || len(p.finalFilter) > 0 || len(stmt.GroupBy) > 0 || anyAgg(stmt) ||
-		stmt.Having != nil || stmt.Offset != 0 {
+		stmt.Having != nil || stmt.Offset != 0 || stmt.Limit == 0 {
 		return nil
 	}
 	full := &relation{cols: p.outCols}

@@ -113,7 +113,6 @@ func TestExplainRowCounts(t *testing.T) {
 // costed after an in-budget insert is annotated budget-stale (the delta
 // path served the estimate), and a scan over a sampled rebuild says so.
 func TestExplainAnalyzeStatsFreshness(t *testing.T) {
-	defer relational.SetIncrementalMaintenance(relational.SetIncrementalMaintenance(true))
 	db := testDB(t)
 	stmt, err := Parse("SELECT title FROM movie WHERE year > 1990")
 	if err != nil {

@@ -300,8 +300,8 @@ func pkRestriction(schema *relational.Schema, local *relation, f *TableFragment)
 // sets — the coordinator half of distributed execution. tables[i] holds the
 // rows standing in for stmt.Tables()[i] (positionally aligned with that
 // table's schema columns, exactly what the matching TableFragment ships
-// back); joins, the full WHERE, projection, aggregation, DISTINCT, ordering
-// and limits all run here with the reference interpreter's semantics, so
+// back); joins and the full WHERE run here with the reference
+// interpreter's semantics and the statement tail as in Execute, so
 // re-evaluating already-pushed conjuncts is redundant but harmless and the
 // result is multiset-identical to single-node execution over the union of
 // the partitions.
@@ -326,11 +326,21 @@ func ExecuteRows(schema *relational.Schema, stmt *SelectStmt, tables [][]relatio
 			return nil, err
 		}
 	}
-	if stmt.Where != nil {
-		rel, err = filter(rel, stmt.Where)
-		if err != nil {
-			return nil, err
+	return collect(rel, stmt, func(yield func(relational.Row) error) error {
+		for _, row := range rel.rows {
+			if stmt.Where != nil {
+				v, err := eval(rel, row, stmt.Where)
+				if err != nil {
+					return err
+				}
+				if !v.AsBool() {
+					continue
+				}
+			}
+			if err := yield(row); err != nil {
+				return err
+			}
 		}
-	}
-	return finish(rel, stmt)
+		return nil
+	})
 }

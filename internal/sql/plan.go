@@ -129,7 +129,7 @@ type PlannerStats struct {
 	PushedPredicates   uint64 // WHERE conjuncts pushed below a join
 	ExistsFastPaths    uint64 // Exists calls that materialized no result (streamed or index-walked)
 	ExistsSemiJoins    uint64 // the subset of ExistsFastPaths answered by the index walk (exists.go)
-	LimitShortCircuits uint64 // Execute calls that stopped at LIMIT early
+	LimitShortCircuits uint64 // statement tails (runTail) that stopped the pipeline at LIMIT
 }
 
 type plannerCounters struct {
@@ -249,7 +249,7 @@ type plannedQuery struct {
 }
 
 // errStopIteration is the internal sentinel the streaming executor uses to
-// unwind once a row limit (LIMIT short-circuit, Exists) is satisfied.
+// unwind once a row limit (runTail's LIMIT, Exists) is satisfied.
 var errStopIteration = errors.New("sql: stop iteration")
 
 // Plan returns the execution plan the executor would use for the
@@ -1301,22 +1301,4 @@ func (p *plannedQuery) newRunCounts() *runCounts {
 		joins:    make([]int, len(p.steps)),
 		narrowed: make([]string, len(p.steps)+1),
 	}
-}
-
-// materialize collects at most limit rows (limit < 0 collects everything);
-// stopped reports whether the pipeline actually cut off early at the cap.
-func (p *plannedQuery) materialize(db *relational.Database, rc *runCounts, limit int) (rel *relation, stopped bool, err error) {
-	rel = &relation{cols: p.outCols}
-	err = p.run(db, rc, func(row relational.Row) error {
-		rel.rows = append(rel.rows, row)
-		if limit >= 0 && len(rel.rows) >= limit {
-			stopped = true
-			return errStopIteration
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return rel, stopped, nil
 }

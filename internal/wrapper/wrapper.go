@@ -397,10 +397,9 @@ func (s *FullAccessSource) ExecuteExists(stmt *sql.SelectStmt) (bool, error) {
 }
 
 // ExecuteStream implements StreamExecutor directly on the engine's
-// streaming executor: order-insensitive statements flow row by row with
-// O(1) working memory, others fall back to materialized execution and
-// replay. The sink's ColumnSink face, when present, receives the header
-// before the first row.
+// streaming executor: statements without GROUP BY, aggregates or ORDER BY
+// flow row by row, others materialize and replay. The sink's ColumnSink
+// face, when present, receives the header before the first row.
 func (s *FullAccessSource) ExecuteStream(stmt *sql.SelectStmt, sink RowSink) ([]string, error) {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
