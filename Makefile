@@ -7,7 +7,7 @@ GO    ?= go
 PKGS  ?= ./...
 BENCH ?= .
 
-.PHONY: all build test race vet bench bench-smoke bench-check bench-compare fuzz-smoke serve-smoke cmd-smoke conformance conformance-remote conformance-faults conformance-durability ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-check bench-compare fuzz-smoke serve-smoke cmd-smoke conformance conformance-remote conformance-faults conformance-durability ci
 
 all: build
 
@@ -22,6 +22,11 @@ race:
 
 vet:
 	$(GO) vet $(PKGS)
+
+# Formatting gate: fails when gofmt would rewrite any Go file of the
+# checkout, the benchmark/ module included, and lists those files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Component micro-benchmarks with allocation stats.
 bench:
@@ -82,8 +87,9 @@ cmd-smoke:
 
 # Cross-backend conformance: the differential suite holds ShardedSource
 # (at 1, 3 and 7 shards, with concurrent queries and interleaved inserts)
-# and every registered backend kind — the loopback-wire "remote" kind
-# included — to FullAccessSource's semantics, under the race detector.
+# and every backend shape — full access, sharded, and sharded behind
+# loopback-wire clients — to FullAccessSource's semantics, under the race
+# detector.
 conformance:
 	$(GO) test -race -count=1 -run Conformance ./internal/conformance
 
@@ -113,4 +119,4 @@ conformance-durability:
 	$(GO) test -race -count=1 -run ConformanceDurability ./internal/conformance
 	$(GO) test -race -count=1 ./internal/wal
 
-ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke cmd-smoke
+ci: build vet fmt-check test race conformance conformance-remote conformance-faults conformance-durability bench-smoke bench-check fuzz-smoke serve-smoke cmd-smoke

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/relational"
 	"repro/internal/shard"
+	"repro/internal/transport"
 	"repro/internal/wrapper"
 )
 
@@ -386,19 +387,42 @@ func TestConformanceSharded(t *testing.T) {
 	}
 }
 
-// TestConformanceRegisteredBackends sweeps every registered backend kind
-// through the table-driven cases — a new backend registered with the
-// wrapper is automatically held to the reference semantics.
+// TestConformanceRegisteredBackends sweeps every backend shape the
+// engine is opened over through the table-driven cases: the full-access
+// source, a 4-shard ShardedSource over Partition, and the same partitions
+// each behind a loopback transport client (frames, row codec, retries).
 func TestConformanceRegisteredBackends(t *testing.T) {
-	for _, kind := range wrapper.BackendKinds() {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			db := conformanceDB(t)
-			ref := wrapper.NewFullAccessSource(db)
-			cand, err := wrapper.OpenBackend(kind, db)
+	partition := func(t *testing.T, db *relational.Database) []*relational.Database {
+		parts, err := shard.Partition(db, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parts
+	}
+	backends := []struct {
+		kind string
+		open func(t *testing.T, db *relational.Database) wrapper.Source
+	}{
+		{"full", func(t *testing.T, db *relational.Database) wrapper.Source {
+			return wrapper.NewFullAccessSource(db)
+		}},
+		{"remote", func(t *testing.T, db *relational.Database) wrapper.Source {
+			src, _ := newRemoteSharded(t, db.Name, partition(t, db), transport.Options{})
+			return src
+		}},
+		{"sharded", func(t *testing.T, db *relational.Database) wrapper.Source {
+			src, err := shard.New(db.Name, partition(t, db), shard.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			return src
+		}},
+	}
+	for _, b := range backends {
+		t.Run(b.kind, func(t *testing.T) {
+			db := conformanceDB(t)
+			ref := wrapper.NewFullAccessSource(db)
+			cand := b.open(t, db)
 			for _, q := range tableCases() {
 				if err := Check(ref, cand, q); err != nil {
 					t.Error(err)

@@ -12,13 +12,13 @@ import "sort"
 //     keys), and Stats folds the delta into the last full snapshot in
 //     place of a rebuild — exact for rows/nulls/min/max, bounded-error for
 //     distinct, with the histogram carried budget-stale. Once the delta
-//     outgrows the staleness budget (StatsStalenessInserts inserts or
-//     StatsStalenessFraction growth, whichever is larger) the next Stats
-//     call rebuilds from scratch — by full sort below StatsSampleRows
+//     outgrows the staleness budget (statsStalenessInserts inserts or
+//     statsStalenessFraction growth, whichever is larger) the next Stats
+//     call rebuilds from scratch — by full sort below statsSampleRows
 //     rows, by stride sampling above it.
 //   - Sorted secondary indexes absorb inserts into a sorted side-run that
 //     range scans merge on read; only when the side-run exceeds
-//     SortedSideRunThreshold is it collapsed back into the main run (a
+//     sortedSideRunThreshold is it collapsed back into the main run (a
 //     linear merge, counted as a rebuild).
 //
 // Each ColumnStats carries a Freshness label (fresh / budget-stale /
@@ -26,27 +26,26 @@ import "sort"
 // estimate a plan was built from. MaintenanceStats exposes the counters
 // that make rebuild-avoidance observable.
 
-// Tunables for the mixed read/write hot path. They are variables, not
-// constants, so operators (and benchmarks) can trade estimate staleness
-// against rebuild cost; see the README "mixed read/write tuning" section.
-// Mutate them only while no table is being queried.
-var (
-	// StatsStalenessInserts is the flat part of the staleness budget: a
+// Constants of the mixed read/write hot path: how stale maintained
+// statistics may grow, and when sorted side-runs and statistics rebuilds
+// change strategy.
+const (
+	// statsStalenessInserts is the flat part of the staleness budget: a
 	// column's delta-maintained statistics may absorb this many inserts
 	// before a histogram/MCV rebuild is forced.
-	StatsStalenessInserts = 64
-	// StatsStalenessFraction is the proportional part of the budget:
+	statsStalenessInserts = 64
+	// statsStalenessFraction is the proportional part of the budget:
 	// deltas may grow to this fraction of the base snapshot's row count.
-	// The effective budget is max(StatsStalenessInserts, fraction*rows).
-	StatsStalenessFraction = 0.10
-	// SortedSideRunThreshold bounds the sorted side-run; one more insert
+	// The effective budget is max(statsStalenessInserts, fraction*rows).
+	statsStalenessFraction = 0.10
+	// sortedSideRunThreshold bounds the sorted side-run; one more insert
 	// collapses it into the main run (linear merge, counted as a rebuild).
-	SortedSideRunThreshold = 256
-	// StatsSampleRows is the table size above which a forced statistics
+	sortedSideRunThreshold = 256
+	// statsSampleRows is the table size above which a forced statistics
 	// rebuild samples rather than sorts every value.
-	StatsSampleRows = 65536
-	// StatsSampleSize is how many values the sampled rebuild examines.
-	StatsSampleSize = 16384
+	statsSampleRows = 65536
+	// statsSampleSize is how many values the sampled rebuild examines.
+	statsSampleSize = 16384
 )
 
 // Freshness labels carried by ColumnStats.Freshness. The empty string
@@ -120,8 +119,8 @@ func (m *colMaint) withinBudget() bool {
 	if m.delta.overflow {
 		return false
 	}
-	budget := StatsStalenessInserts
-	if f := int(StatsStalenessFraction * float64(m.base.Rows)); f > budget {
+	budget := statsStalenessInserts
+	if f := int(statsStalenessFraction * float64(m.base.Rows)); f > budget {
 		budget = f
 	}
 	return m.delta.rows <= budget
@@ -196,7 +195,7 @@ func mcvHasKey(cs *ColumnStats, key string) bool {
 // sampleColumnStats rebuilds statistics for a large column by stride
 // sampling: one full pass still yields exact Rows/NullCount/Min/Max, but
 // the sort that feeds the histogram, MCVs and distinct estimate only sees
-// ~StatsSampleSize values, with counts scaled back up. Caller holds idxMu.
+// ~statsSampleSize values, with counts scaled back up. Caller holds idxMu.
 func sampleColumnStats(t *Table, ord int) *ColumnStats {
 	cs := &ColumnStats{
 		Column:    t.Schema.Columns[ord].Name,
@@ -226,7 +225,7 @@ func sampleColumnStats(t *Table, ord int) *ColumnStats {
 	if len(vals) == 0 {
 		return cs
 	}
-	stride := (len(vals) + StatsSampleSize - 1) / StatsSampleSize
+	stride := (len(vals) + statsSampleSize - 1) / statsSampleSize
 	if stride < 1 {
 		stride = 1
 	}

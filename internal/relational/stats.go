@@ -292,7 +292,7 @@ func (t *Table) Stats(column string) (*ColumnStats, error) {
 		return cs, nil
 	}
 	var cs *ColumnStats
-	if len(t.rows) >= StatsSampleRows {
+	if len(t.rows) >= statsSampleRows {
 		cs = sampleColumnStats(t, ord)
 		t.statsSampled++
 	} else {

@@ -204,7 +204,7 @@ func TestRangeOrdinals(t *testing.T) {
 
 // TestSortedIndexSideRun: inserts land in a sorted side-run instead of
 // invalidating the index — range scans merge the runs on read, no rebuild
-// happens until the run outgrows SortedSideRunThreshold, and results never
+// happens until the run outgrows sortedSideRunThreshold, and results never
 // miss a row.
 func TestSortedIndexSideRun(t *testing.T) {
 	tbl := statsTable(t)
@@ -257,7 +257,7 @@ func TestSortedIndexSideRun(t *testing.T) {
 	}
 	// Overflow the side-run: the collapse counts as one rebuild and the
 	// index stays current.
-	for i := 0; i <= SortedSideRunThreshold; i++ {
+	for i := 0; i <= sortedSideRunThreshold; i++ {
 		tbl.MustInsert(Row{Int(int64(20000 + i)), Int(int64(1960 + i%50)), String_("drama")})
 	}
 	if got := tbl.SortedIndexBuildCount(); got != builds+1 {
@@ -321,8 +321,8 @@ func TestStatsIncrementalDelta(t *testing.T) {
 		t.Error("incremental update not counted")
 	}
 	// Past the budget the next Stats call rebuilds from scratch.
-	budget := StatsStalenessInserts
-	if f := int(StatsStalenessFraction * float64(cs.Rows)); f > budget {
+	budget := statsStalenessInserts
+	if f := int(statsStalenessFraction * float64(cs.Rows)); f > budget {
 		budget = f
 	}
 	for i := 0; i <= budget; i++ {

@@ -83,7 +83,7 @@ type Table struct {
 // (value ascending under Compare, ordinal ascending). Inserts land in
 // side — also (value, ordinal)-ordered, and ordinal-disjoint above ords —
 // which range reads merge on the fly until it exceeds
-// SortedSideRunThreshold and is collapsed into ords.
+// sortedSideRunThreshold and is collapsed into ords.
 type sortedIndex struct {
 	ords []int
 	side []int
@@ -167,7 +167,7 @@ func (t *Table) Insert(row Row) error {
 
 // maintainInsertLocked absorbs one inserted row into the incremental
 // maintenance structures: each sorted index takes the row into its
-// side-run (collapsing when the run outgrows SortedSideRunThreshold), and
+// side-run (collapsing when the run outgrows sortedSideRunThreshold), and
 // each column with built statistics accrues the new cell in its delta.
 // Caller holds idxMu.
 func (t *Table) maintainInsertLocked(row Row, ord int) {
@@ -183,7 +183,7 @@ func (t *Table) maintainInsertLocked(row Row, ord int) {
 		copy(si.side[pos+1:], si.side[pos:])
 		si.side[pos] = ord
 		t.sideInserts++
-		if len(si.side) > SortedSideRunThreshold {
+		if len(si.side) > sortedSideRunThreshold {
 			t.collapseSideLocked(colOrd, si)
 		}
 	}

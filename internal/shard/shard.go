@@ -78,11 +78,6 @@ import (
 	"repro/internal/wrapper"
 )
 
-// DefaultShardCount is the partition count used by the registered
-// "sharded" backend factory (wrapper.OpenBackend) when the caller does not
-// choose one explicitly.
-const DefaultShardCount = 4
-
 // ErrReadOnlyTopology is returned by ShardedSource.Insert when the
 // source's backends cannot accept writes: injected backends that do not
 // implement wrapper.Inserter, or remote shards whose server-side backend
@@ -836,11 +831,10 @@ func (s *ShardedSource) gatherWave(ctx context.Context, frags []sql.TableFragmen
 
 // fetchResult pulls one statement's result from a backend, consuming the
 // row stream incrementally when the backend offers one (remote transport
-// clients deliver row or columnar frames as they arrive; columnar batches
-// land through the buffer's PushBatch face without a per-row loop) and
-// falling back to materializing Execute otherwise. A streaming backend may
-// replay from the top on a mid-stream retry; the sink's Reset keeps the
-// gathered rows exactly-once either way. Both the gather path and the
+// clients deliver row or columnar frames as they arrive) and falling
+// back to materializing Execute otherwise. A streaming backend may replay
+// from the top on a mid-stream retry; the sink's Reset keeps the gathered
+// rows exactly-once either way. Both the gather path and the
 // single-table pushdown merge fetch through here, so a shard's own memory
 // stays bounded by its batch size whenever the backend can stream.
 //
@@ -1070,34 +1064,4 @@ func itemsHaveAgg(stmt *sql.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func init() {
-	wrapper.RegisterBackend("sharded", func(db *relational.Database) (wrapper.Source, error) {
-		parts, err := Partition(db, DefaultShardCount)
-		if err != nil {
-			return nil, err
-		}
-		return New(db.Name, parts, Options{})
-	})
-	// "remote": the same partitioning, but every shard is reached through
-	// the wire protocol — an in-process transport server per shard, dialed
-	// over loopback pipes. Registering it here keeps the conformance
-	// harness's registered-backend sweep exercising the full remote
-	// execution path (frames, row codec, retries) on every run.
-	wrapper.RegisterBackend("remote", func(db *relational.Database) (wrapper.Source, error) {
-		parts, err := Partition(db, DefaultShardCount)
-		if err != nil {
-			return nil, err
-		}
-		backends := make([]Backend, len(parts))
-		for i, p := range parts {
-			c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), transport.Options{})
-			if err != nil {
-				return nil, err
-			}
-			backends[i] = c
-		}
-		return NewFromBackends(db.Name, db.Schema, backends, Options{AssumeHashRouting: true}), nil
-	})
 }

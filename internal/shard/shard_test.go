@@ -432,25 +432,3 @@ func TestShardedExistsMatchesFullAccess(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisteredShardedBackend(t *testing.T) {
-	db := testDB(t, 60, 15, 90)
-	src, err := wrapper.OpenBackend("sharded", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, ok := src.(*ShardedSource)
-	if !ok {
-		t.Fatalf("sharded backend = %T", src)
-	}
-	if ss.ShardCount() != DefaultShardCount {
-		t.Fatalf("ShardCount = %d, want %d", ss.ShardCount(), DefaultShardCount)
-	}
-	res, err := ss.Execute(mustParse(t, "SELECT title FROM movie ORDER BY movie_id LIMIT 3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-}

@@ -139,7 +139,7 @@
 // on demand), only the rows whose key equals the key of some materialized
 // row, instead of every row. It applies when the table has at least
 // LazyIndexThreshold rows, every pushed conjunct of the scan compiled to
-// the vectorized form (interpreted conjuncts can raise per row, and a
+// a closure (interpreted conjuncts can raise per row, and a
 // skipped row must not hide an error), and the candidates stay below
 // len(table)/narrowDivisor; past that bound the probe gives up mid-count
 // and the scan reads every row. LEFT joins never narrow the preserved

@@ -445,14 +445,7 @@ func join(left, right *relation, jc JoinClause) (*relation, error) {
 		// Hash join: build on the right side with uint64 keys; equality of
 		// the key columns is re-verified per candidate, so hash collisions
 		// cannot produce spurious matches.
-		build := make(map[uint64][]int, len(right.rows))
-		for i, rrow := range right.rows {
-			k, null := joinKey(rrow, rk)
-			if null {
-				continue
-			}
-			build[k] = append(build[k], i)
-		}
+		build := buildIndex(make(map[uint64][]int, len(right.rows)), right.rows, rk)
 		for _, lrow := range left.rows {
 			k, null := joinKey(lrow, lk)
 			matched := false

@@ -114,7 +114,9 @@ func TestExplainRowCounts(t *testing.T) {
 // path served the estimate), and a scan over a sampled rebuild says so.
 func TestExplainAnalyzeStatsFreshness(t *testing.T) {
 	db := testDB(t)
-	stmt, err := Parse("SELECT title FROM movie WHERE year > 1990")
+	// No index serves <>, so the scan stays full and is costed from the
+	// column's statistics at every table size.
+	stmt, err := Parse("SELECT title FROM movie WHERE year <> 1990")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +144,14 @@ func TestExplainAnalyzeStatsFreshness(t *testing.T) {
 		t.Errorf("post-insert analyze should report budget-stale statistics:\n%s", plan)
 	}
 
-	// Force the sampled path: lower the sampling threshold so the rebuild
-	// triggered by dropping the cached state is a sampled one.
-	defer func(rows, size int) {
-		relational.StatsSampleRows, relational.StatsSampleSize = rows, size
-	}(relational.StatsSampleRows, relational.StatsSampleSize)
-	relational.StatsSampleRows, relational.StatsSampleSize = 1, 3
+	// Grow the table to the size past which relational samples its
+	// statistics (65 536 rows), so the rebuild triggered by dropping the
+	// cached state is a sampled one.
+	for id := int64(100); db.Table("movie").Len() < 1<<16; id++ {
+		if err := db.Insert("movie", relational.Row{I(id), S("filler"), I(1980 + id%40), F(5.0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	db.Table("movie").DropIndexes()
 	if plan := analyze(); !strings.Contains(plan, "[stats: sampled]") {
 		t.Errorf("analyze over a sampled rebuild should say so:\n%s", plan)

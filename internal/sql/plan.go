@@ -207,9 +207,9 @@ type scanNode struct {
 	inList []relational.Value
 	ords   []int
 	est    int
-	// vec holds the pushed conjuncts compiled for the selection-vector
-	// filter; vecOK reports whether every conjunct compiled (all-or-nothing,
-	// so the interpreted and vectorized paths never mix per scan).
+	// vec holds the compiled pushed conjuncts; vecOK reports whether every
+	// conjunct compiled (all-or-nothing, so the interpreted and compiled
+	// filters never mix per scan).
 	vec   []colPred
 	vecOK bool
 	// freshness records what kind of statistics (fresh / budget-stale /
@@ -445,7 +445,7 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 }
 
 // seal completes a plan whose joins are placed: it compiles the scans'
-// vectorized filters, stamps their statistics freshness, builds the join
+// filters, stamps their statistics freshness, builds the join
 // tree Exists walks and freezes the introspectable plan.
 func (p *plannedQuery) seal(stmt *SelectStmt, nodes []*scanNode, tables []*relational.Table) *plannedQuery {
 	p.compileVec()
@@ -980,41 +980,29 @@ func joinRefs(steps []*joinStep) []TableRef {
 // its pushed predicates. idx is the scan's position in the plan, used for
 // cardinality accounting when rc is non-nil.
 func (p *plannedQuery) streamScan(idx int, n *scanNode, t *relational.Table, rc *runCounts, emit func(relational.Row) error) error {
-	if n.access != AccessFullScan {
-		return p.scanOrdinals(idx, n, t, n.ords, rc, emit)
-	}
-	if n.vecOK {
-		return p.streamScanVec(idx, n, t, rc, emit)
-	}
-	local := &relation{cols: n.cols}
-	for _, row := range t.Rows() {
-		ok, err := evalConjuncts(local, row, n.pushed)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if rc != nil {
-			rc.scans[idx]++
-		}
-		if err := emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.scanRows(idx, n, t, n.ords, n.access == AccessFullScan, rc, emit)
 }
 
-// scanOrdinals yields the rows at the ascending ordinals ords that pass
-// the scan's pushed predicates, evaluated row by row: the compiled
+// scanRows is the filtered-row loop of every scan: it yields, in order,
+// the rows of t at the ascending ordinals ords (every row when full) that
+// pass the scan's pushed predicates, evaluated row by row: the compiled
 // conjuncts when the scan has them, the interpreter otherwise.
-func (p *plannedQuery) scanOrdinals(idx int, n *scanNode, t *relational.Table, ords []int, rc *runCounts, emit func(relational.Row) error) error {
+func (p *plannedQuery) scanRows(idx int, n *scanNode, t *relational.Table, ords []int, full bool, rc *runCounts, emit func(relational.Row) error) error {
 	var local *relation
 	if !n.vecOK {
 		local = &relation{cols: n.cols}
 	}
-	for _, o := range ords {
-		row := t.Row(o)
+	rows := t.Rows()
+	count := len(ords)
+	if full {
+		count = len(rows)
+	}
+	for k := range count {
+		o := k
+		if !full {
+			o = ords[k]
+		}
+		row := rows[o]
 		if n.vecOK {
 			if !vecPass(n.vec, row) {
 				continue
@@ -1060,7 +1048,7 @@ func (p *plannedQuery) streamNarrowed(idx int, n *scanNode, t *relational.Table,
 			if rc != nil {
 				rc.narrowed[idx] = t.Schema.Columns[col].Name
 			}
-			return p.scanOrdinals(idx, n, t, ords, rc, emit)
+			return p.scanRows(idx, n, t, ords, false, rc, emit)
 		}
 	}
 	return p.streamScan(idx, n, t, rc, emit)
@@ -1091,15 +1079,58 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		return append(row, r...)
 	}
 
-	if len(st.lk) == 0 {
-		counters.nestedLoops.Add(1)
-		var rightRows []relational.Row
-		if err := p.streamScan(i+1, st.right, bt[i+1], rc, func(r relational.Row) error {
-			rightRows = append(rightRows, r)
+	// join emits l joined with r when their keys are equal, not merely
+	// hash-equal, and the residual ON conjuncts hold; ok reports whether.
+	join := func(l, r relational.Row) (ok bool, err error) {
+		if !joinKeysEqual(l, st.lk, r, st.rk) {
+			return false, nil
+		}
+		cand := concat(l, r)
+		if ok, err = evalConjuncts(outRel, cand, st.residual); err != nil || !ok {
+			return false, err
+		}
+		return true, filtered(cand)
+	}
+	if st.buildLeft && len(st.lk) > 0 {
+		counters.hashJoins.Add(1)
+		counters.buildSwaps.Add(1)
+		// Materialize the (smaller) accumulated left side, probe with the
+		// right scan, narrowed to the rows the left keys can match. Inner
+		// joins only, so no match tracking is needed.
+		var leftRows []relational.Row
+		if err := p.stream(i-1, bt, rc, func(l relational.Row) error {
+			leftRows = append(leftRows, l)
 			return nil
 		}); err != nil {
 			return err
 		}
+		build := buildIndex(make(map[uint64][]int, len(leftRows)), leftRows, st.lk)
+		return p.streamNarrowed(i+1, st.right, bt[i+1], st.rk[0], leftRows, st.lk[0], rc, func(rrow relational.Row) error {
+			k, null := joinKey(rrow, st.rk)
+			if null {
+				return nil
+			}
+			for _, li := range build[k] {
+				if _, err := join(leftRows[li], rrow); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+
+	// Otherwise materialize the right scan and probe it with the streamed
+	// left side (required for LEFT joins, which null-extend unmatched left
+	// rows in their original positions).
+	var rightRows []relational.Row
+	if err := p.streamScan(i+1, st.right, bt[i+1], rc, func(r relational.Row) error {
+		rightRows = append(rightRows, r)
+		return nil
+	}); err != nil {
+		return err
+	}
+	if len(st.lk) == 0 {
+		counters.nestedLoops.Add(1)
 		return p.stream(i-1, bt, rc, func(lrow relational.Row) error {
 			matched := false
 			for _, rrow := range rightRows {
@@ -1124,151 +1155,42 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 	}
 
 	counters.hashJoins.Add(1)
-	if st.buildLeft {
-		counters.buildSwaps.Add(1)
-		// Materialize the (smaller) accumulated left side, probe with the
-		// right scan, narrowed to the rows the left keys can match. Inner
-		// joins only, so no match tracking is needed.
-		var leftRows []relational.Row
-		if err := p.stream(i-1, bt, rc, func(l relational.Row) error {
-			leftRows = append(leftRows, l)
-			return nil
-		}); err != nil {
-			return err
-		}
-		build := make(map[uint64][]int, len(leftRows))
-		for li, lrow := range leftRows {
-			k, null := joinKey(lrow, st.lk)
-			if null {
-				continue
-			}
-			build[k] = append(build[k], li)
-		}
-		// Probe in blocks: keys for the whole block are hashed first, then
-		// the build map is walked with hot caches. Emission order matches
-		// the row-at-a-time loop exactly, and a stop sentinel raised
-		// mid-block propagates before any later probe row is touched.
-		blk := make([]relational.Row, 0, joinProbeBlock)
-		keys := make([]uint64, joinProbeBlock)
-		nulls := make([]bool, joinProbeBlock)
-		flush := func() error {
-			for bi, rrow := range blk {
-				keys[bi], nulls[bi] = joinKey(rrow, st.rk)
-			}
-			for bi, rrow := range blk {
-				if nulls[bi] {
-					continue
-				}
-				for _, li := range build[keys[bi]] {
-					if !joinKeysEqual(leftRows[li], st.lk, rrow, st.rk) {
-						continue
-					}
-					cand := concat(leftRows[li], rrow)
-					ok, err := evalConjuncts(outRel, cand, st.residual)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					if err := filtered(cand); err != nil {
-						return err
-					}
-				}
-			}
-			blk = blk[:0]
-			return nil
-		}
-		if err := p.streamNarrowed(i+1, st.right, bt[i+1], st.rk[0], leftRows, st.lk[0], rc, func(rrow relational.Row) error {
-			blk = append(blk, rrow)
-			if len(blk) == joinProbeBlock {
-				return flush()
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		return flush()
-	}
-
-	// Default hash join: build on the right scan, probe with the streamed
-	// left side (required for LEFT joins, which null-extend unmatched left
-	// rows).
-	var rightRows []relational.Row
-	if err := p.streamScan(i+1, st.right, bt[i+1], rc, func(r relational.Row) error {
-		rightRows = append(rightRows, r)
-		return nil
-	}); err != nil {
-		return err
-	}
-	build := make(map[uint64][]int, len(rightRows))
-	for ri, rrow := range rightRows {
-		k, null := joinKey(rrow, st.rk)
-		if null {
-			continue
-		}
-		build[k] = append(build[k], ri)
-	}
-	// Batched probe, mirroring the build-left path; LEFT joins track
-	// per-row match state inside the block to null-extend unmatched rows in
-	// their original positions.
-	blk := make([]relational.Row, 0, joinProbeBlock)
-	keys := make([]uint64, joinProbeBlock)
-	nulls := make([]bool, joinProbeBlock)
-	flush := func() error {
-		for bi, lrow := range blk {
-			keys[bi], nulls[bi] = joinKey(lrow, st.lk)
-		}
-		for bi, lrow := range blk {
-			matched := false
-			if !nulls[bi] {
-				for _, ri := range build[keys[bi]] {
-					if !joinKeysEqual(lrow, st.lk, rightRows[ri], st.rk) {
-						continue
-					}
-					cand := concat(lrow, rightRows[ri])
-					ok, err := evalConjuncts(outRel, cand, st.residual)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					matched = true
-					if err := filtered(cand); err != nil {
-						return err
-					}
-				}
-			}
-			if st.jc.Left && !matched {
-				if err := filtered(concat(lrow, nullRow(len(st.right.cols)))); err != nil {
+	build := buildIndex(make(map[uint64][]int, len(rightRows)), rightRows, st.rk)
+	probe := func(lrow relational.Row) error {
+		matched := false
+		if k, null := joinKey(lrow, st.lk); !null {
+			for _, ri := range build[k] {
+				ok, err := join(lrow, rightRows[ri])
+				if err != nil {
 					return err
 				}
+				matched = matched || ok
 			}
 		}
-		blk = blk[:0]
-		return nil
-	}
-	probe := func(lrow relational.Row) error {
-		blk = append(blk, lrow)
-		if len(blk) == joinProbeBlock {
-			return flush()
+		if st.jc.Left && !matched {
+			return filtered(concat(lrow, nullRow(len(st.right.cols))))
 		}
 		return nil
 	}
-	var err error
 	if i == 0 && !st.jc.Left {
 		// The probe side is the base scan itself: narrow it like the
 		// build-left probe scan. LEFT joins emit every base row, so they
 		// always read it in full.
-		err = p.streamNarrowed(0, p.base, bt[0], st.lk[0], rightRows, st.rk[0], rc, probe)
-	} else {
-		err = p.stream(i-1, bt, rc, probe)
+		return p.streamNarrowed(0, p.base, bt[0], st.lk[0], rightRows, st.rk[0], rc, probe)
 	}
-	if err != nil {
-		return err
+	return p.stream(i-1, bt, rc, probe)
+}
+
+// buildIndex fills and returns build, a hash join's build map made by the
+// caller so it can stay in the caller's frame: the positions in rows of
+// every row with a non-NULL key on ords, by key hash, in row order.
+func buildIndex(build map[uint64][]int, rows []relational.Row, ords []int) map[uint64][]int {
+	for i, row := range rows {
+		if k, null := joinKey(row, ords); !null {
+			build[k] = append(build[k], i)
+		}
 	}
-	return flush()
+	return build
 }
 
 // run streams the fully joined and filtered relation to emit, optionally

@@ -4,16 +4,14 @@ import (
 	"repro/internal/relational"
 )
 
-// This file vectorizes the scan's pushed-predicate filter. Pushed
+// This file compiles the scan's pushed-predicate filter. Pushed
 // conjuncts of simple single-column shapes (column vs literal comparison,
 // LIKE/MATCH against a literal, IS [NOT] NULL, IN over a literal list)
-// compile at plan time into closures over one column ordinal; a full scan
-// then evaluates them column-wise over blocks of rows with a selection
-// vector, and an ordinal-list scan calls them per row, instead of walking
-// the expression tree per row. Compilation is
-// all-or-nothing per scan: one conjunct outside the compilable shapes and
-// the scan keeps the interpreted row-at-a-time loop, so semantics (and
-// error behaviour — compiled shapes cannot raise) never fork.
+// compile at plan time into closures over one column ordinal, which every
+// scan calls row by row (vecPass) instead of walking the expression tree
+// per row. Compilation is all-or-nothing per scan: one conjunct outside
+// the compilable shapes and the scan keeps the interpreter, so semantics
+// (and error behaviour — compiled shapes cannot raise) never fork.
 //
 // The compiled closures replicate eval's three-valued logic exactly: a
 // NULL operand makes a comparison UNKNOWN and an UNKNOWN conjunct rejects
@@ -33,15 +31,6 @@ import (
 //   - a NULL value never matches, and NULL literals drop out (they can
 //     only turn FALSE into UNKNOWN, and both reject the row).
 
-// vecBlock is how many rows a vectorized scan filters per selection-vector
-// pass. A satisfied LIMIT still stops mid-block: survivors are emitted in
-// order and the stop sentinel propagates immediately.
-const vecBlock = 1024
-
-// joinProbeBlock is how many probe-side rows a hash join hashes before
-// walking the build map; see the flush closures in plannedQuery.stream.
-const joinProbeBlock = 256
-
 // colPred is one compiled pushed conjunct: fn reports whether the conjunct
 // is TRUE for a value of column ord.
 type colPred struct {
@@ -50,7 +39,7 @@ type colPred struct {
 }
 
 // compileVecPreds compiles every pushed conjunct of a scan, or reports
-// failure when any conjunct falls outside the vectorizable shapes.
+// failure when any conjunct falls outside the compilable shapes.
 func compileVecPreds(local *relation, preds []Expr) ([]colPred, bool) {
 	out := make([]colPred, 0, len(preds))
 	for _, c := range preds {
@@ -285,7 +274,7 @@ func compileVecBinary(local *relation, x *BinaryExpr) (colPred, bool) {
 	return colPred{}, false
 }
 
-// compileVec compiles the vectorized filter of every scan in the plan.
+// compileVec compiles the pushed-predicate filter of every scan in the plan.
 // Called once at the end of planning; the compiled closures are stateless,
 // so the shared plan stays safe for concurrent executions.
 func (p *plannedQuery) compileVec() {
@@ -300,9 +289,7 @@ func (p *plannedQuery) compileVec() {
 	}
 }
 
-// vecPass reports whether row passes every compiled conjunct: the per-row
-// form of the filter, for scans that read an ordinal list (index probes,
-// narrowed scans) rather than the table's contiguous rows.
+// vecPass reports whether row passes every compiled conjunct.
 func vecPass(preds []colPred, row relational.Row) bool {
 	for _, pr := range preds {
 		if !pr.fn(row[pr.ord]) {
@@ -310,56 +297,4 @@ func vecPass(preds []colPred, row relational.Row) bool {
 		}
 	}
 	return true
-}
-
-// streamScanVec is the vectorized full scan: rows are filtered in blocks,
-// each compiled conjunct sweeping the survivors of the previous one
-// through a selection vector, and survivors are emitted in row order.
-// Ordinal-list scans go through scanOrdinals instead, which filters in
-// place with vecPass: copying their rows into blocks first cost more than
-// the block sweep saved.
-func (p *plannedQuery) streamScanVec(idx int, n *scanNode, t *relational.Table, rc *runCounts, emit func(relational.Row) error) error {
-	sel := make([]int, 0, vecBlock)
-	process := func(rows []relational.Row) error {
-		sel = sel[:0]
-		if len(n.vec) == 0 {
-			for i := range rows {
-				sel = append(sel, i)
-			}
-		} else {
-			first := n.vec[0]
-			for i, row := range rows {
-				if first.fn(row[first.ord]) {
-					sel = append(sel, i)
-				}
-			}
-			for _, pr := range n.vec[1:] {
-				kept := sel[:0]
-				for _, i := range sel {
-					if pr.fn(rows[i][pr.ord]) {
-						kept = append(kept, i)
-					}
-				}
-				sel = kept
-			}
-		}
-		for _, i := range sel {
-			if rc != nil {
-				rc.scans[idx]++
-			}
-			if err := emit(rows[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	rows := t.Rows()
-	for len(rows) > 0 {
-		end := min(vecBlock, len(rows))
-		if err := process(rows[:end]); err != nil {
-			return err
-		}
-		rows = rows[end:]
-	}
-	return nil
 }

@@ -31,8 +31,6 @@ type Options struct {
 	// RequestTimeout bounds one attempt: connection deadline for the
 	// request write and every response frame read. Default 30s.
 	RequestTimeout time.Duration
-	// DialTimeout bounds TCP connection establishment (Dial). Default 5s.
-	DialTimeout time.Duration
 	// PoolSize is how many idle connections are kept per replica. Default 2.
 	PoolSize int
 	// MaxFrame caps accepted response frames (a memory bound against
@@ -48,18 +46,11 @@ type Options struct {
 	// is closed so the abandoned attempt unwinds promptly and leaks no
 	// goroutine.
 	Hedge bool
-	// HedgeQuantile picks the delay from the recent time-to-first-response
-	// distribution (default 0.9: hedge the slowest ~10%).
-	HedgeQuantile float64
 	// HedgeMinSamples is how many latency samples must accumulate before
 	// hedging arms (default 16) — hedging off a cold distribution would
 	// just double the load.
 	HedgeMinSamples int
-	// HedgeMinDelay/HedgeMaxDelay clamp the adaptive delay. Defaults 1ms
-	// and 100ms.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
-	// HedgeFixedDelay, when positive, bypasses the adaptive quantile and
+	// HedgeFixedDelay, when positive, bypasses the adaptive delay and
 	// hedges after exactly this long (tests, operators with known SLOs).
 	HedgeFixedDelay time.Duration
 
@@ -76,6 +67,18 @@ type Options struct {
 	ProbeFailThreshold int
 }
 
+// Fixed parameters of dialing and of the adaptive hedge delay.
+const (
+	// dialTimeout bounds TCP connection establishment (Dial).
+	dialTimeout = 5 * time.Second
+	// hedgeQuantile picks the hedge delay from the recent
+	// time-to-first-response distribution: hedge the slowest ~10%.
+	hedgeQuantile = 0.9
+	// hedgeMinDelay and hedgeMaxDelay clamp the adaptive hedge delay.
+	hedgeMinDelay = time.Millisecond
+	hedgeMaxDelay = 100 * time.Millisecond
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -86,26 +89,14 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = 2
 	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = DefaultMaxFrame
 	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.9
-	}
 	if o.HedgeMinSamples <= 0 {
 		o.HedgeMinSamples = 16
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
-	}
-	if o.HedgeMaxDelay <= 0 {
-		o.HedgeMaxDelay = 100 * time.Millisecond
 	}
 	if o.ProbeFailThreshold <= 0 {
 		o.ProbeFailThreshold = 3
@@ -210,11 +201,10 @@ func Dial(addrs []string, opt Options) (*Client, error) {
 	specs := make([]ReplicaSpec, len(addrs))
 	for i, addr := range addrs {
 		addr := addr
-		timeout := opt.DialTimeout
 		specs[i] = ReplicaSpec{
 			Name: addr,
 			Dial: func() (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, timeout)
+				return net.DialTimeout("tcp", addr, dialTimeout)
 			},
 		}
 	}
@@ -352,15 +342,9 @@ func (c *Client) ExecuteStreamCtx(ctx context.Context, stmt *sql.SelectStmt, sin
 					return err
 				}
 				c.colFrames.Add(1)
-				if bs, ok := sink.(wrapper.BatchSink); ok {
-					if perr := bs.PushBatch(rows); perr != nil {
+				for _, row := range rows {
+					if perr := sink.Push(row); perr != nil {
 						return &sinkAbort{err: perr}
-					}
-				} else {
-					for _, row := range rows {
-						if perr := sink.Push(row); perr != nil {
-							return &sinkAbort{err: perr}
-						}
 					}
 				}
 				total += uint64(len(rows))
@@ -744,8 +728,8 @@ func (c *Client) startHedged(ctx context.Context, rot []int, pos int, reqType by
 // completions recorded) — callers must take the single-attempt path then,
 // never hand the sentinel to a timer: a non-positive duration would fire
 // it immediately and hedge every request at double load. When armed, the
-// returned delay is always positive (clamped to [HedgeMinDelay,
-// HedgeMaxDelay], or the positive HedgeFixedDelay).
+// returned delay is always positive (clamped to [hedgeMinDelay,
+// hedgeMaxDelay], or the positive HedgeFixedDelay).
 func (c *Client) hedgeDelay() (time.Duration, bool) {
 	if !c.opt.Hedge {
 		return 0, false
@@ -753,17 +737,11 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 	if c.opt.HedgeFixedDelay > 0 {
 		return c.opt.HedgeFixedDelay, true
 	}
-	d, ok := c.lat.quantile(c.opt.HedgeQuantile, c.opt.HedgeMinSamples)
+	d, ok := c.lat.quantile(hedgeQuantile, c.opt.HedgeMinSamples)
 	if !ok {
 		return 0, false
 	}
-	if d < c.opt.HedgeMinDelay {
-		d = c.opt.HedgeMinDelay
-	}
-	if d > c.opt.HedgeMaxDelay {
-		d = c.opt.HedgeMaxDelay
-	}
-	return d, true
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay), true
 }
 
 // ---- connection pool ----

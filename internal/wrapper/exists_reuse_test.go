@@ -67,36 +67,3 @@ func TestExecuteExistsDoesNotMutateStatement(t *testing.T) {
 		}
 	}
 }
-
-// TestBackendRegistry covers the backend factory registry: the built-in
-// "full" kind opens a FullAccessSource, unknown kinds fail with the
-// registered list, and kinds enumerate sorted.
-func TestBackendRegistry(t *testing.T) {
-	db := fixtureDB(t)
-	src, err := OpenBackend("full", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(*FullAccessSource); !ok {
-		t.Fatalf("OpenBackend(full) = %T, want *FullAccessSource", src)
-	}
-	if _, ok := src.(SourceExecutor); !ok {
-		t.Fatal("full backend does not satisfy SourceExecutor")
-	}
-	if _, ok := src.(StatisticsProvider); !ok {
-		t.Fatal("full backend does not satisfy StatisticsProvider")
-	}
-	if _, err := OpenBackend("no-such-backend", db); err == nil {
-		t.Fatal("OpenBackend accepted an unknown kind")
-	}
-	kinds := BackendKinds()
-	found := false
-	for _, k := range kinds {
-		if k == "full" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("BackendKinds() = %v, missing full", kinds)
-	}
-}

@@ -85,15 +85,6 @@ type ColumnSink interface {
 	StartColumns(cols []string) error
 }
 
-// BatchSink is an optional RowSink face for sinks that accept rows a batch
-// at a time — the columnar transport client hands a whole decoded frame
-// over in one call instead of re-looping per row. Semantics are identical
-// to calling Push for each row in order; the sink must not retain the
-// slice.
-type BatchSink interface {
-	PushBatch(rows []relational.Row) error
-}
-
 // StreamExecutor is the streaming face of a backend: rows are delivered to
 // the sink as they arrive instead of materializing the whole result first,
 // so a coordinator can start merging while a shard is still sending. The
@@ -118,12 +109,6 @@ func (b *RowBuffer) Reset() { b.Rows = b.Rows[:0] }
 // Push implements RowSink.
 func (b *RowBuffer) Push(r relational.Row) error {
 	b.Rows = append(b.Rows, r)
-	return nil
-}
-
-// PushBatch implements BatchSink.
-func (b *RowBuffer) PushBatch(rows []relational.Row) error {
-	b.Rows = append(b.Rows, rows...)
 	return nil
 }
 

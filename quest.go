@@ -317,18 +317,6 @@ func OpenRemote(schema *Schema, name string, shardAddrs [][]string, ropt RemoteO
 	return core.NewEngine(src, opts), nil
 }
 
-// OpenBackend assembles the engine over a registered execution backend
-// kind ("full", "sharded", or anything registered through
-// wrapper.RegisterBackend). Every registered kind is held to the same
-// differential contract by the internal/conformance suite.
-func OpenBackend(kind string, db *Database, opts Options) (*Engine, error) {
-	src, err := wrapper.OpenBackend(kind, db)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEngine(src, opts), nil
-}
-
 // NewSchema returns an empty schema for custom databases.
 func NewSchema() *Schema { return relational.NewSchema() }
 

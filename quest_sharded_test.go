@@ -97,24 +97,3 @@ func TestOpenShardedEndToEnd(t *testing.T) {
 		t.Errorf("merged stats rows/nulls %d/%d, want %d/%d", scs.Rows, scs.NullCount, fcs.Rows, fcs.NullCount)
 	}
 }
-
-// TestOpenBackendKinds opens the engine over every registered backend kind
-// and checks a search works end to end.
-func TestOpenBackendKinds(t *testing.T) {
-	for _, kind := range []string{"full", "sharded"} {
-		eng, err := quest.OpenBackend(kind, quest.BuildIMDB(quest.DatasetConfig{Seed: 42, Scale: 1}), quest.Defaults())
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		ex, err := eng.Search("spielberg drama")
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if len(ex) == 0 {
-			t.Fatalf("%s: no results", kind)
-		}
-	}
-	if _, err := quest.OpenBackend("bogus", quest.BuildIMDB(quest.DatasetConfig{Seed: 42, Scale: 1}), quest.Defaults()); err == nil {
-		t.Fatal("OpenBackend accepted an unknown kind")
-	}
-}
