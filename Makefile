@@ -60,15 +60,18 @@ bench-compare:
 # well-formed response frames out, prompt return at end of input),
 # the compiled IN-list membership test (must answer exactly as the linear
 # relational.Equal loop over ints, floats, NaN, ±0, strings, bools, NULLs;
-# minimizing its many coverage-new inputs would otherwise eat the 10 s)
-# and the existence index walk (random tables of mixed INT/FLOAT/NaN/NULL
+# minimizing its many coverage-new inputs would otherwise eat the 10 s),
+# the existence index walk (random tables of mixed INT/FLOAT/NaN/NULL
 # join keys, random join shapes and predicates: the walk, the streaming
-# path and the reference interpreter must give one verdict).
+# path and the reference interpreter must give one verdict) and the
+# statement text the plan cache keys on (parse → print → parse is stable,
+# dropping LIMIT removes exactly its clause, planning never panics).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzCompiledIn -fuzztime 10s -fuzzminimizetime 1x ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzExistsSemiJoin -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzParsePrint -fuzztime 10s ./internal/sql
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

@@ -14,6 +14,10 @@
 //	POST /v1/sql     {"sql": "SELECT ..."} or sql=... form body
 //	POST /v1/insert  {"table": ..., "rows": [[...], ...]} row appends
 //
+// A search with execute=1 runs its top explanation under limit (default
+// 100), so the executor stops at the last row served; /v1/sql runs its
+// statement whole, because its row_count is the full count.
+//
 // Request headers:
 //
 //	X-Quest-Tenant       admission-control identity; "default" when absent
@@ -556,7 +560,8 @@ func isCtxErr(err error) bool {
 }
 
 // runSearch waits for an execution slot, runs the engine pipeline and —
-// when asked — executes the top-ranked explanation's SQL for its tuples.
+// when asked — executes the top-ranked explanation's SQL for its tuples,
+// under the request's limit so the executor stops at the last row served.
 func (s *Server) runSearch(ctx context.Context, q string, keywords []string, k int, execute bool, limit int) (*searchPayload, error) {
 	releaseSlot, err := s.acquireSlot(ctx)
 	if err != nil {
@@ -577,7 +582,7 @@ func (s *Server) runSearch(ctx context.Context, q string, keywords []string, k i
 	for i, ex := range exps {
 		ej := explanationJSON{Rank: i + 1, Belief: ex.Belief, SQL: ex.SQL}
 		if execute && i == 0 {
-			res, err := s.eng.ExecuteCtx(ctx, ex)
+			res, err := s.eng.ExecuteCtx(ctx, limited(ex, limit))
 			if err != nil {
 				return nil, err
 			}
@@ -588,6 +593,19 @@ func (s *Server) runSearch(ctx context.Context, q string, keywords []string, k i
 	}
 	out.ElapsedMs = float64(time.Since(started)) / float64(time.Millisecond)
 	return out, nil
+}
+
+// limited returns ex with a statement that yields at most limit rows.
+// The query cache shares ex and its statement across requests, so a
+// tighter limit goes on a copy of both; the SQL text stays ex.SQL.
+func limited(ex *core.Explanation, limit int) *core.Explanation {
+	if ex.Stmt.Limit >= 0 && ex.Stmt.Limit <= limit {
+		return ex
+	}
+	cp := *ex
+	cp.Stmt = ex.Stmt.Clone()
+	cp.Stmt.Limit = limit
+	return &cp
 }
 
 // sqlPayload is /v1/sql's response body.

@@ -643,3 +643,107 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// topExplanation is the executed top-1 of a /v1/search response.
+type topExplanation struct {
+	SQL     string   `json:"sql"`
+	Columns []string `json:"columns"`
+	Rows    [][]any  `json:"rows"`
+}
+
+// searchTop runs /v1/search?execute=1 at the given limit and returns the
+// executed top explanation.
+func searchTop(t *testing.T, s *serve.Server, q string, limit int) topExplanation {
+	t.Helper()
+	path := fmt.Sprintf("/v1/search?q=%s&execute=1&limit=%d", strings.ReplaceAll(q, " ", "+"), limit)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("%s: code %d body %s", path, w.Code, w.Body.String())
+	}
+	var res struct {
+		Explanations []topExplanation `json:"explanations"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		t.Fatalf("decode %s: %v", path, err)
+	}
+	if len(res.Explanations) == 0 {
+		t.Fatalf("%s: no explanation", path)
+	}
+	return res.Explanations[0]
+}
+
+// TestSearchExecutesUnderLimit: the served top-1 runs under the request's
+// limit, so the executor stops at the last row served, and the rows are
+// the first limit rows of the whole result.
+func TestSearchExecutesUnderLimit(t *testing.T) {
+	s, _ := newGateServer(t, false, serve.Options{TenantRate: -1})
+	const q = "drama"
+	all := searchTop(t, s, q, 1<<20)
+	const n = 3
+	if len(all.Rows) <= n {
+		t.Fatalf("top-1 of %q has %d rows; the test needs more than %d", q, len(all.Rows), n)
+	}
+
+	before := sql.Stats().LimitShortCircuits
+	lim := searchTop(t, s, q, n)
+	if sql.Stats().LimitShortCircuits == before {
+		t.Errorf("limit=%d over %d rows did not stop the executor early", n, len(all.Rows))
+	}
+	if lim.SQL != all.SQL || fmt.Sprint(lim.Columns) != fmt.Sprint(all.Columns) ||
+		fmt.Sprint(lim.Rows) != fmt.Sprint(all.Rows[:n]) {
+		t.Errorf("limit=%d served %v %v, want the first %d rows %v", n, lim.Columns, lim.Rows, n, all.Rows[:n])
+	}
+
+	none := searchTop(t, s, q, 0)
+	if len(none.Rows) != 0 || fmt.Sprint(none.Columns) != fmt.Sprint(all.Columns) {
+		t.Errorf("limit=0 served columns %v and %d rows, want columns %v and none", none.Columns, len(none.Rows), all.Columns)
+	}
+
+	over := searchTop(t, s, q, len(all.Rows)+5)
+	if fmt.Sprint(over.Rows) != fmt.Sprint(all.Rows) {
+		t.Errorf("a limit above the result size served %d rows, want all %d", len(over.Rows), len(all.Rows))
+	}
+}
+
+// TestLimitLeavesCachedExplanationAlone: the query cache hands every
+// request a copy of the explanation that shares one statement, so
+// executing it under a request's limit must not write to that statement.
+// Concurrent searches at different limits (distinct coalescing keys, one
+// cached statement) race on it under -race if it does.
+func TestLimitLeavesCachedExplanationAlone(t *testing.T) {
+	db := quest.BuildIMDB(quest.DatasetConfig{Seed: 42, Scale: 1})
+	opts := quest.Defaults()
+	opts.PruneEmpty = true
+	eng := core.NewEngine(wrapper.NewFullAccessSource(db), opts)
+	s := serve.New(eng, serve.Options{TenantRate: -1})
+	exps, err := eng.Search(testQuery)
+	if err != nil || len(exps) == 0 {
+		t.Fatalf("search %q: %v, %d explanations", testQuery, err, len(exps))
+	}
+	top := exps[0]
+	want := top.Stmt.SQL()
+
+	var wg sync.WaitGroup
+	for i := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			path := fmt.Sprintf("/v1/search?q=spielberg+drama&execute=1&limit=%d", i%4)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			if w.Code != http.StatusOK {
+				t.Errorf("%s: code %d body %s", path, w.Code, w.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+
+	again, err := eng.Search(testQuery)
+	if err != nil || len(again) == 0 || again[0].Stmt != top.Stmt {
+		t.Fatalf("the repeated search should share the cached top statement (err %v)", err)
+	}
+	if got := top.Stmt.SQL(); got != want || top.SQL != want {
+		t.Errorf("cached statement became %q (SQL field %q), want %q", got, top.SQL, want)
+	}
+}

@@ -165,7 +165,12 @@
 // # Plan cache and invalidation
 //
 // Plans are memoized in a package-level LRU keyed on (database ID, the
-// referenced tables' individual versions, canonical SQL). The
+// referenced tables' individual versions, canonical SQL without a positive
+// LIMIT). The plan never reads a positive LIMIT — the statement tail
+// applies it — so `... LIMIT 20` and its unlimited twin share one entry,
+// while LIMIT 0 and OFFSET stay in the key because they decide whether
+// Exists may walk the join tree. The key is never a statement's shape:
+// a plan captures its probe ordinals per literal. The
 // per-table-version contract: the key embeds one (table, mutation
 // counter) pair for each table the statement references
 // — and only those — so an Insert into one table makes exactly the

@@ -8,7 +8,7 @@ import (
 )
 
 // testDB builds a small movie database exercised by every executor test.
-func testDB(t *testing.T) *relational.Database {
+func testDB(t testing.TB) *relational.Database {
 	t.Helper()
 	s := relational.NewSchema()
 	add := func(ts *relational.TableSchema) {

@@ -286,21 +286,17 @@ type existsVerdict struct {
 func (ep *existsPlan) exists(bt boundTables) bool {
 	w := &existsWalk{ep: ep, bt: bt, bufs: make([][]int, len(ep.nodes))}
 	root := &ep.nodes[0]
-	t := bt[root.bind]
-	if root.member == nil {
-		for _, row := range t.Rows() {
-			if vecPass(root.scan.vec, row) && w.qualifies(0, row) {
-				return true
-			}
+	found := false
+	// Every walked scan compiled its conjuncts, so scanRows cannot fail;
+	// its only error is the stop this emit returns.
+	scanRows(0, root.scan, bt[root.bind], root.scan.ords, root.member == nil, nil, func(row relational.Row) error {
+		if w.qualifies(0, row) {
+			found = true
+			return errStopIteration
 		}
-		return false
-	}
-	for _, o := range root.scan.ords {
-		if row := t.Row(o); vecPass(root.scan.vec, row) && w.qualifies(0, row) {
-			return true
-		}
-	}
-	return false
+		return nil
+	})
+	return found
 }
 
 // qualifies reports whether row of node ni has a partner on every child

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -264,4 +265,65 @@ func TestFoldTokensIdempotentOnJoin(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParsePrint holds the canonical text the plan cache keys on: for any
+// input that parses, the rendering parses back to the same rendering; a
+// copy with its LIMIT removed renders the same text minus the LIMIT
+// clause, and plans to the same cached plan when that LIMIT was positive;
+// and planning over the executor fixture never panics (`make fuzz-smoke`).
+func FuzzParsePrint(f *testing.F) {
+	for _, src := range []string{
+		"SELECT * FROM movie",
+		"SELECT DISTINCT m.title, p.name AS who FROM movie m JOIN cast_info c ON m.movie_id = c.movie_id JOIN person p ON c.person_id = p.person_id WHERE p.name MATCH 'dark' LIMIT 20",
+		"SELECT title FROM movie WHERE year BETWEEN 1990 AND 2005 AND rating >= 6.5 ORDER BY rating DESC, title LIMIT 3 OFFSET 1",
+		"SELECT m.title FROM movie m LEFT JOIN cast_info c ON m.movie_id = c.movie_id AND c.role = 'actor' WHERE c.cast_id IS NULL",
+		"SELECT role, COUNT(*), AVG(movie_id) FROM cast_info GROUP BY role HAVING COUNT(*) > 1 LIMIT 0",
+		"SELECT * FROM movie WHERE movie_id IN (1, 3, -2) OR NOT title LIKE '%it''s%' OFFSET 2",
+		"SELECT movie_id * 2 + 1 - year / 4 FROM movie WHERE year <> 2001 AND rating < 7.25 LIMIT 1",
+	} {
+		f.Add(src)
+	}
+	db := testDB(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := stmt.SQL()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("rendering of %q does not parse: %q: %v", src, text, err)
+		}
+		if got := again.SQL(); got != text {
+			t.Fatalf("rendering of %q is not stable:\n%s\n%s", src, text, got)
+		}
+
+		unlimited := stmt.Clone()
+		unlimited.Limit = -1
+		want := text
+		if stmt.Limit >= 0 {
+			// The LIMIT clause follows every other clause but OFFSET,
+			// whose digits cannot contain it, so it is the last match.
+			clause := " LIMIT " + strconv.Itoa(stmt.Limit)
+			i := strings.LastIndex(text, clause)
+			if i < 0 {
+				t.Fatalf("rendering %q has no %q", text, clause)
+			}
+			want = text[:i] + text[i+len(clause):]
+		}
+		if got := unlimited.SQL(); got != want {
+			t.Fatalf("without its LIMIT %q renders %q, want %q", text, got, want)
+		}
+
+		p, err := planSelect(db, stmt)
+		if err != nil {
+			return
+		}
+		if stmt.Limit > 0 {
+			if q, err := planSelect(db, unlimited); err != nil || q != p {
+				t.Fatalf("%q and its unlimited twin should share one plan (err %v)", text, err)
+			}
+		}
+	})
 }

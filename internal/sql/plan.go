@@ -177,8 +177,10 @@ func ResetStats() { counters = plannerCounters{} }
 // (an Insert into a referenced table changes that version, so cached index
 // probes can never serve stale ordinals — while inserts into unreferenced
 // tables leave the key, and the cached plan, untouched) and the canonical
-// SQL text; the engine re-executes cached
-// explanations on every search, so plan reuse is the common case.
+// SQL text without a positive LIMIT, which the plan never reads (runTail
+// applies it), so a LIMIT'd statement shares its unlimited twin's plan.
+// The engine re-executes cached explanations on every search, so plan
+// reuse is the common case.
 var planCache = cache.New[string, *plannedQuery](512)
 
 // matchIndexCache memoizes per-attribute full-text indexes built for the
@@ -266,7 +268,11 @@ func Plan(db *relational.Database, stmt *SelectStmt) (*QueryPlan, error) {
 // for a statement. The key is the canonical SQL text (re-rendered per call
 // — statements carry no cache slot, and the text is what makes the key
 // independent of pointer identity and mutation) prefixed with the database
-// identity and the per-referenced-table versions.
+// identity and the per-referenced-table versions. A positive LIMIT is left
+// out of the text: the plan is the same with or without it. LIMIT 0 and
+// OFFSET stay in, because newExistsPlan reads them. A plan is therefore a
+// pure function of the database, its table versions and the statement
+// text; it is never shared across literals, whose probe ordinals it holds.
 func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error) {
 	var kb strings.Builder
 	kb.WriteString(strconv.FormatUint(db.ID(), 10))
@@ -282,7 +288,13 @@ func planSelect(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error
 		}
 	}
 	kb.WriteByte(0)
-	kb.WriteString(stmt.SQL())
+	keyed := stmt
+	if stmt.Limit > 0 {
+		unlimited := *stmt
+		unlimited.Limit = -1
+		keyed = &unlimited
+	}
+	kb.WriteString(keyed.SQL())
 	key := kb.String()
 	if p, ok := planCache.Get(key); ok {
 		counters.cacheHits.Add(1)
@@ -980,14 +992,14 @@ func joinRefs(steps []*joinStep) []TableRef {
 // its pushed predicates. idx is the scan's position in the plan, used for
 // cardinality accounting when rc is non-nil.
 func (p *plannedQuery) streamScan(idx int, n *scanNode, t *relational.Table, rc *runCounts, emit func(relational.Row) error) error {
-	return p.scanRows(idx, n, t, n.ords, n.access == AccessFullScan, rc, emit)
+	return scanRows(idx, n, t, n.ords, n.access == AccessFullScan, rc, emit)
 }
 
 // scanRows is the filtered-row loop of every scan: it yields, in order,
 // the rows of t at the ascending ordinals ords (every row when full) that
 // pass the scan's pushed predicates, evaluated row by row: the compiled
 // conjuncts when the scan has them, the interpreter otherwise.
-func (p *plannedQuery) scanRows(idx int, n *scanNode, t *relational.Table, ords []int, full bool, rc *runCounts, emit func(relational.Row) error) error {
+func scanRows(idx int, n *scanNode, t *relational.Table, ords []int, full bool, rc *runCounts, emit func(relational.Row) error) error {
 	var local *relation
 	if !n.vecOK {
 		local = &relation{cols: n.cols}
@@ -1048,7 +1060,7 @@ func (p *plannedQuery) streamNarrowed(idx int, n *scanNode, t *relational.Table,
 			if rc != nil {
 				rc.narrowed[idx] = t.Schema.Columns[col].Name
 			}
-			return p.scanRows(idx, n, t, ords, false, rc, emit)
+			return scanRows(idx, n, t, ords, false, rc, emit)
 		}
 	}
 	return p.streamScan(idx, n, t, rc, emit)

@@ -165,6 +165,42 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSharesLimitedTwin: a positive LIMIT is not part of the
+// plan-cache key, so a LIMIT'd statement reuses its unlimited twin's plan.
+// LIMIT 0 and OFFSET decide whether Exists may walk the join tree, so
+// those variants keep plans of their own; so does another literal.
+func TestPlanCacheSharesLimitedTwin(t *testing.T) {
+	db := testDB(t)
+	const base = "SELECT m.title FROM movie m JOIN cast_info c ON m.movie_id = c.movie_id WHERE m.year > 1990"
+	plan := func(src string) *plannedQuery {
+		t.Helper()
+		p, err := planSelect(db, mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	unlimited := plan(base)
+	for _, src := range []string{base + " LIMIT 1", base + " LIMIT 20"} {
+		if plan(src) != unlimited {
+			t.Errorf("%q should share the unlimited statement's plan", src)
+		}
+	}
+	for _, src := range []string{
+		base + " LIMIT 0",
+		base + " OFFSET 2",
+		base + " LIMIT 20 OFFSET 2",
+		strings.Replace(base, "1990", "1991", 1) + " LIMIT 20",
+	} {
+		if plan(src) == unlimited {
+			t.Errorf("%q must not share the unlimited statement's plan", src)
+		}
+	}
+	if unlimited.semi == nil || plan(base+" LIMIT 0").semi != nil {
+		t.Error("the walk's eligibility must follow LIMIT 0 through the cache")
+	}
+}
+
 // TestResultCarriesPlan: Execute attaches the plan it ran.
 func TestResultCarriesPlan(t *testing.T) {
 	db := testDB(t)
