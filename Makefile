@@ -43,7 +43,7 @@ bench-smoke:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# End-to-end comparison of the working tree against BASE: PAIRS
+# End-to-end comparison of the working tree against BASE: PAIRS (>= 3)
 # alternating base/change pairs of `bash benchmark/run.sh --seconds 15`
 # (seeds 1..PAIRS) over WORKLOADS, the base side built in a git worktree
 # under .bench_build/base, then `benchmark -compare`, whose exit status

@@ -12,6 +12,11 @@ import (
 // Explanation is QUEST's final output unit: a configuration (keyword →
 // term mapping), an interpretation (join path), the combined Dempster–
 // Shafer belief, and the SQL query the pair denotes.
+//
+// Belief is the caller's own. Config, Interpretation and Stmt are shared
+// with the engine's query cache, and so with every later search that hits
+// it, so they are read-only: a caller that wants a changed statement (a
+// LIMIT, say) runs a Stmt.Clone().
 type Explanation struct {
 	Config         *Configuration
 	Interpretation *Interpretation

@@ -541,7 +541,8 @@ func (e *Engine) interpretationsWith(opts Options, configs []*Configuration) ([]
 // the cache epoch; AddFeedback, SetUncertainty and the other mutators bump
 // the epoch, so no stale ranking is ever served.
 // Hits return fresh shallow copies of the Explanation structs — callers may
-// adjust Belief on their copies without poisoning the cache.
+// adjust Belief on their copies without poisoning the cache; what the
+// copies point to stays shared and read-only (see Explanation).
 func (e *Engine) Search(query string) ([]*Explanation, error) {
 	return e.SearchCtx(context.Background(), query)
 }
@@ -611,8 +612,8 @@ func (e *Engine) SearchCtx(ctx context.Context, query string) ([]*Explanation, e
 		return nil, err
 	}
 	if e.queryCache != nil && cacheable {
-		// Store a private copy: the caller owns the returned slice and may
-		// mutate beliefs in place.
+		// Store a copy of the structs: the caller owns the returned slice
+		// and may set Belief in place. The statements stay shared.
 		e.queryCache.Put(key, &cachedSearch{
 			exps: copyExplanations(out),
 			deps: depsFor(touched, versions),
@@ -686,9 +687,11 @@ func (e *Engine) depsCurrent(deps map[string]uint64) bool {
 }
 
 // copyExplanations shallow-copies a ranked result list. The Explanation
-// structs are duplicated (so Belief stays isolated per caller); the deeper
-// Config/Interpretation/Stmt objects are immutable after construction and
-// remain shared.
+// structs are duplicated, so Belief stays isolated per caller; the Config,
+// Interpretation and Stmt they point to stay shared with the query cache
+// and are read-only, since cloning every statement would add allocations
+// to every search. TestLimitLeavesCachedExplanationAlone (internal/serve)
+// pins that the serving tier limits a clone, not the shared statement.
 func copyExplanations(in []*Explanation) []*Explanation {
 	if in == nil {
 		return nil

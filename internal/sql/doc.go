@@ -80,7 +80,7 @@
 //
 // Exists is the engine's PruneEmpty validation path, and most of its
 // statements are joins that do have rows. Streaming them still builds
-// every hash-join build side and a concatenated row per match before the
+// every hash-join build side and writes a joined row per match before the
 // first tuple reaches the stop, so a joined plan of the right shape is
 // instead answered by semi-join checks over the equality indexes
 // (exists.go), which never build a joined row. A candidate is a Steiner
@@ -161,6 +161,29 @@
 // planner's estimates — and Plan/Explain expose the same structure without
 // executing; ExplainAnalyze executes and renders estimated vs actual rows.
 // Tests assert access paths and join orders against it.
+//
+// # Joined rows and build sides
+//
+// The planned pipeline allocates per execution and join step, never per
+// candidate row or key. Each join step writes every candidate pair (hash,
+// build-left, nested-loop and null-extended LEFT candidates alike) into
+// one joined-row buffer that its stream call makes, and a LEFT join makes
+// its null extension once. So a joined row the pipeline yields is valid
+// only until the emit it was passed to returns, and a consumer that keeps
+// one copies it. Two do: a build-left step past the first, which keeps
+// the previous step's rows as its build side, and the collecting arm of
+// GROUP BY, aggregates and ORDER BY (runStatement). The statement tail
+// keeps only projections, which are new rows; a single-table scan yields
+// the stored rows themselves. The buffers live in the execution's frame,
+// never on the plan, which the plan cache shares across goroutines.
+//
+// A hash join's build side (buildIndex, shared with the reference
+// interpreter's join) is one map from key hash to the first row of its
+// chain plus one next-position slice: two allocations, not one per key.
+// The chains are built back to front, so a probe visits its partners in
+// the build side's row order. A right side read through an index, range, IN
+// or MATCH probe is collected into a slice sized by the probe's
+// ordinals, an upper bound on its rows.
 //
 // # Plan cache and invalidation
 //

@@ -576,7 +576,7 @@ func executeWide(db *relational.Database, stmt *SelectStmt) (*Result, error) {
 	rc.noNarrow = true
 	return collect(&relation{cols: p.outCols}, stmt, func(yield func(relational.Row) error) error {
 		return p.run(db, rc, yield)
-	})
+	}, len(p.steps) > 0)
 }
 
 // orderedRows renders a result's rows in emission order.

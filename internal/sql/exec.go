@@ -116,7 +116,7 @@ func Execute(db *relational.Database, stmt *SelectStmt) (*Result, error) {
 	rc := p.newRunCounts()
 	res, err := collect(&relation{cols: p.outCols}, stmt, func(yield func(relational.Row) error) error {
 		return p.run(db, rc, yield)
-	})
+	}, len(p.steps) > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -445,12 +445,12 @@ func join(left, right *relation, jc JoinClause) (*relation, error) {
 		// Hash join: build on the right side with uint64 keys; equality of
 		// the key columns is re-verified per candidate, so hash collisions
 		// cannot produce spurious matches.
-		build := buildIndex(make(map[uint64][]int, len(right.rows)), right.rows, rk)
+		build := buildIndex(right.rows, rk)
 		for _, lrow := range left.rows {
 			k, null := joinKey(lrow, lk)
 			matched := false
 			if !null {
-				for _, ri := range build[k] {
+				for ri := build.first(k); ri >= 0; ri = build.next[ri] {
 					if !joinKeysEqual(lrow, lk, right.rows[ri], rk) {
 						continue
 					}

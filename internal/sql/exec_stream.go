@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/relational"
 )
@@ -18,13 +19,16 @@ func ExecuteStream(db *relational.Database, stmt *SelectStmt, start func(cols []
 		return err
 	}
 	rows := func(yield func(relational.Row) error) error { return p.run(db, nil, yield) }
-	return runStatement(&relation{cols: p.outCols}, stmt, rows, start, emit)
+	return runStatement(&relation{cols: p.outCols}, stmt, rows, len(p.steps) > 0, start, emit)
 }
 
 // runStatement runs stmt's tail over the rows rows yields, whose columns
 // are rel's: through runTail, or, for GROUP BY, aggregates and ORDER BY,
-// by collecting every row, finishing and replaying.
-func runStatement(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error, start func([]string) error, emit func(relational.Row) error) error {
+// by collecting every row, finishing and replaying. reused reports that a
+// yielded row is valid only until yield returns (a planned join's buffer,
+// see plannedQuery.stream), so the collecting arm copies what it keeps;
+// runTail keeps only projections, which are new rows.
+func runStatement(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error, reused bool, start func([]string) error, emit func(relational.Row) error) error {
 	if len(stmt.GroupBy) == 0 && !anyAgg(stmt) && len(stmt.OrderBy) == 0 {
 		if err := start(projectionColumns(rel, stmt)); err != nil {
 			return err
@@ -32,7 +36,13 @@ func runStatement(rel *relation, stmt *SelectStmt, rows func(yield func(relation
 		return runTail(rel, stmt, rows, emit)
 	}
 	all := &relation{cols: rel.cols}
-	if err := rows(func(row relational.Row) error { all.rows = append(all.rows, row); return nil }); err != nil {
+	if err := rows(func(row relational.Row) error {
+		if reused {
+			row = slices.Clone(row)
+		}
+		all.rows = append(all.rows, row)
+		return nil
+	}); err != nil {
 		return err
 	}
 	res, err := finish(all, stmt)
@@ -51,9 +61,9 @@ func runStatement(rel *relation, stmt *SelectStmt, rows func(yield func(relation
 }
 
 // collect runs stmt over rows (see runStatement) into a Result.
-func collect(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error) (*Result, error) {
+func collect(rel *relation, stmt *SelectStmt, rows func(yield func(relational.Row) error) error, reused bool) (*Result, error) {
 	res := &Result{Rows: []relational.Row{}}
-	err := runStatement(rel, stmt, rows,
+	err := runStatement(rel, stmt, rows, reused,
 		func(cols []string) error { res.Columns = cols; return nil },
 		func(row relational.Row) error { res.Rows = append(res.Rows, row); return nil })
 	if err != nil {

@@ -342,5 +342,5 @@ func ExecuteRows(schema *relational.Schema, stmt *SelectStmt, tables [][]relatio
 			}
 		}
 		return nil
-	})
+	}, false)
 }

@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -1067,7 +1068,12 @@ func (p *plannedQuery) streamNarrowed(idx int, n *scanNode, t *relational.Table,
 }
 
 // stream yields the rows of the relation after join step i (i == -1 is the
-// base scan), with that step's placed WHERE conjuncts applied.
+// base scan), with that step's placed WHERE conjuncts applied. A yielded
+// joined row (i >= 0) is the step's one joined-row buffer, rewritten for
+// every candidate pair, so it is valid only until emit returns: a consumer
+// that keeps it copies it. Base-scan rows are the stored rows themselves.
+// Every buffer lives in this frame, never on the plan, which the plan
+// cache shares across concurrent executions.
 func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(relational.Row) error) error {
 	if i < 0 {
 		return p.streamScan(0, p.base, bt[0], rc, emit)
@@ -1085,10 +1091,14 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		}
 		return emit(row)
 	}
+	buf := make(relational.Row, len(st.outCols))
 	concat := func(l, r relational.Row) relational.Row {
-		row := make(relational.Row, 0, len(l)+len(r))
-		row = append(row, l...)
-		return append(row, r...)
+		copy(buf[copy(buf, l):], r)
+		return buf
+	}
+	var nulls relational.Row // the LEFT join's null-extension, made once
+	if st.jc.Left {
+		nulls = make(relational.Row, len(st.right.cols))
 	}
 
 	// join emits l joined with r when their keys are equal, not merely
@@ -1108,21 +1118,25 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		counters.buildSwaps.Add(1)
 		// Materialize the (smaller) accumulated left side, probe with the
 		// right scan, narrowed to the rows the left keys can match. Inner
-		// joins only, so no match tracking is needed.
+		// joins only, so no match tracking is needed. A joined left row is
+		// the previous step's buffer, so it is copied; base rows are not.
 		var leftRows []relational.Row
 		if err := p.stream(i-1, bt, rc, func(l relational.Row) error {
+			if i > 0 {
+				l = slices.Clone(l)
+			}
 			leftRows = append(leftRows, l)
 			return nil
 		}); err != nil {
 			return err
 		}
-		build := buildIndex(make(map[uint64][]int, len(leftRows)), leftRows, st.lk)
+		build := buildIndex(leftRows, st.lk)
 		return p.streamNarrowed(i+1, st.right, bt[i+1], st.rk[0], leftRows, st.lk[0], rc, func(rrow relational.Row) error {
 			k, null := joinKey(rrow, st.rk)
 			if null {
 				return nil
 			}
-			for _, li := range build[k] {
+			for li := build.first(k); li >= 0; li = build.next[li] {
 				if _, err := join(leftRows[li], rrow); err != nil {
 					return err
 				}
@@ -1133,8 +1147,12 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 
 	// Otherwise materialize the right scan and probe it with the streamed
 	// left side (required for LEFT joins, which null-extend unmatched left
-	// rows in their original positions).
+	// rows in their original positions). A probe access's ordinals bound
+	// the scan's rows, so its slice is sized once.
 	var rightRows []relational.Row
+	if st.right.access != AccessFullScan {
+		rightRows = make([]relational.Row, 0, len(st.right.ords))
+	}
 	if err := p.streamScan(i+1, st.right, bt[i+1], rc, func(r relational.Row) error {
 		rightRows = append(rightRows, r)
 		return nil
@@ -1160,18 +1178,18 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 				}
 			}
 			if st.jc.Left && !matched {
-				return filtered(concat(lrow, nullRow(len(st.right.cols))))
+				return filtered(concat(lrow, nulls))
 			}
 			return nil
 		})
 	}
 
 	counters.hashJoins.Add(1)
-	build := buildIndex(make(map[uint64][]int, len(rightRows)), rightRows, st.rk)
+	build := buildIndex(rightRows, st.rk)
 	probe := func(lrow relational.Row) error {
 		matched := false
 		if k, null := joinKey(lrow, st.lk); !null {
-			for _, ri := range build[k] {
+			for ri := build.first(k); ri >= 0; ri = build.next[ri] {
 				ok, err := join(lrow, rightRows[ri])
 				if err != nil {
 					return err
@@ -1180,7 +1198,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 			}
 		}
 		if st.jc.Left && !matched {
-			return filtered(concat(lrow, nullRow(len(st.right.cols))))
+			return filtered(concat(lrow, nulls))
 		}
 		return nil
 	}
@@ -1193,16 +1211,40 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 	return p.stream(i-1, bt, rc, probe)
 }
 
-// buildIndex fills and returns build, a hash join's build map made by the
-// caller so it can stay in the caller's frame: the positions in rows of
-// every row with a non-NULL key on ords, by key hash, in row order.
-func buildIndex(build map[uint64][]int, rows []relational.Row, ords []int) map[uint64][]int {
-	for i, row := range rows {
-		if k, null := joinKey(row, ords); !null {
-			build[k] = append(build[k], i)
-		}
+// hashChains is a hash join's build side over rows: head maps a key hash
+// to the position of the first row with a non-NULL key of that hash, and
+// next[j] is the position of the next such row after row j, or -1. Each
+// chain lists its rows in row order, so every probe visits its partners
+// in the order the build side was read.
+type hashChains struct {
+	head map[uint64]int32
+	next []int32
+}
+
+// first is the position of the first row of key hash k's chain, or -1.
+func (c hashChains) first(k uint64) int32 {
+	if j, ok := c.head[k]; ok {
+		return j
 	}
-	return build
+	return -1
+}
+
+// buildIndex chains the rows of a hash join's build side by the hash of
+// their key on ords (rows with a NULL key join nothing and are left out).
+// It allocates one map and one slice however many rows share a key; the
+// chains are built back to front so that each lists its rows in row
+// order.
+func buildIndex(rows []relational.Row, ords []int) hashChains {
+	c := hashChains{head: make(map[uint64]int32, len(rows)), next: make([]int32, len(rows))}
+	for j := len(rows) - 1; j >= 0; j-- {
+		k, null := joinKey(rows[j], ords)
+		if null {
+			continue
+		}
+		c.next[j] = c.first(k)
+		c.head[k] = int32(j)
+	}
+	return c
 }
 
 // run streams the fully joined and filtered relation to emit, optionally

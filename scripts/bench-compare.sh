@@ -6,20 +6,27 @@
 #
 # The base side is a git worktree of BASE (default HEAD) under
 # .bench_build/base; the change side is the working tree. Each of PAIRS
-# (default 10) pairs runs `bash benchmark/run.sh --seconds 15` once per
-# side with seed 1..PAIRS, alternating which side goes first, over
-# WORKLOADS (one workload name, or all, the default). After the pairs it
-# runs `benchmark -compare` from the root of the checkout, then one
-# `--trace 1` pass of the working tree per selected workload. The run
-# files and their printed reports land in .bench_build/compare/. The
-# script exits non-zero when the comparison fails or when any run, traced
-# or not, is not correct (it prints that run's failures), and removes the
-# worktree.
+# (default 10, at least 3) pairs runs `bash benchmark/run.sh --seconds
+# 15` once per side with seed 1..PAIRS, alternating which side goes
+# first, over WORKLOADS (one workload name, or all, the default). After
+# the pairs it runs `benchmark -compare` from the root of the checkout,
+# then one `--trace 1` pass of the working tree per selected workload.
+# The run files and their printed reports land in .bench_build/compare/.
+# The script exits non-zero when the comparison fails or when any run,
+# traced or not, is not correct (it prints that run's failures), and
+# removes the worktree.
 set -euo pipefail
 
 pairs=${1:-10}
 base=${2:-HEAD}
 workloads=${3:-all}
+
+# One run per side has no spread, so one noisy sample would read as a
+# regression; the quartiles the comparison needs take three.
+if ! [[ "$pairs" =~ ^[0-9]+$ ]] || ((pairs < 3)); then
+	echo "bench-compare: PAIRS must be a number of at least 3, got '$pairs'" >&2
+	exit 2
+fi
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
