@@ -158,12 +158,12 @@ func tableCases() []Query {
 			JOIN cast_info ON cast_info.movie_id = movie.movie_id
 			WHERE movie.genre = 'drama' GROUP BY cast_info.role ORDER BY cast_info.role`},
 		{SQL: "SELECT COUNT(*), MIN(year), MAX(year) FROM movie WHERE genre = 'noir'"},
-		// Partial-aggregate pushdown shapes: global and grouped integer
-		// aggregates (exactly decomposable), empty groups, NULL group keys,
-		// pruned-to-one-shard and pruned-to-zero-shards aggregates, aliased
-		// aggregate order keys. (Float SUM/AVG is excluded by design: its
-		// answer depends on summation order even between the gather path and
-		// a single scan.)
+		// Aggregate shapes, finished at the coordinator over gathered
+		// rows: global and grouped integer aggregates, empty groups, NULL
+		// group keys, pruned-to-one-shard and pruned-to-zero-shards
+		// aggregates, aliased aggregate order keys. (Float SUM/AVG is
+		// excluded by design: its answer depends on summation order even
+		// between the gather path and a single scan.)
 		{SQL: "SELECT COUNT(*) FROM movie"},
 		{SQL: "SELECT COUNT(year), SUM(year), AVG(year) FROM movie WHERE genre = 'drama'"},
 		{SQL: "SELECT COUNT(*), SUM(movie_id) FROM movie WHERE year > 2100"},
@@ -180,9 +180,9 @@ func tableCases() []Query {
 		{SQL: "SELECT DISTINCT genre, year FROM movie WHERE year > 2010"},
 		// Columnar-encoding shapes: wide rows (every column of a 3-way join),
 		// a low-cardinality projection (dictionary), sorted and constant
-		// columns (run-length). The remote suites run these through both the
-		// v2 columnar frames and the pinned-v1 row frames; either way the
-		// bytes must match the reference.
+		// columns (run-length). Over the wire each batch ships as a
+		// columnar frame, or as a row frame when that is smaller; either
+		// way the bytes must match the reference.
 		{SQL: `SELECT * FROM movie
 			JOIN cast_info ON cast_info.movie_id = movie.movie_id
 			JOIN person ON person.person_id = cast_info.person_id

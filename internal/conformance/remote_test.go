@@ -39,9 +39,12 @@ func newRemoteSharded(t testing.TB, name string, parts []*relational.Database, o
 // shape against FullAccessSource and a ShardedSource whose every shard is
 // behind the wire protocol, at 1, 3 and 7 shards, with concurrent query
 // batches and interleaved insert rounds, under the race detector (`make
-// conformance-remote`). At every shard count the sweep must ship both
-// batch forms, columnar frames and the row-frame fallback, so the
-// fallback stays under the byte-identical contract.
+// conformance-remote`). At every shard count both batch forms, columnar
+// frames and the row-frame fallback, must cross the wire, so the fallback
+// stays under the byte-identical contract. The coordinator ships only
+// `SELECT *` fragments, which always encode columnar, so the row frame
+// comes from a wide statement sent to each shard directly and held to
+// that shard's own reference.
 func TestConformanceRemote(t *testing.T) {
 	for _, shards := range []int{1, 3, 7} {
 		shards := shards
@@ -74,16 +77,36 @@ func TestConformanceRemote(t *testing.T) {
 			queries = append(queries,
 				Query{SQL: "SELECT title FROM movie WHERE movie_id = 1105"},
 				Query{SQL: "SELECT COUNT(*) FROM movie WHERE title MATCH 'sequel'"},
-				// A one-row result ten columns wide: its columnar form (one
-				// encoding tag per column) outgrows the row form (one cell
-				// count per row), so the batch ships as a plain row frame.
-				Query{SQL: `SELECT movie_id, title, year, rating, genre,
-					genre, rating, year, title, movie_id FROM movie WHERE movie_id = 17`},
+				// Through the coordinator this ships as a `SELECT *`
+				// fragment (columnar); the row frame comes from the direct
+				// shard requests below.
+				Query{SQL: wideOneRow},
 				Query{SQL: `SELECT person.name FROM person
 					JOIN cast_info ON cast_info.person_id = person.person_id
 					WHERE cast_info.cast_id > 1000 ORDER BY cast_info.cast_id`, TotalOrder: true},
 			)
 			runBatch(t, ref, remote, queries)
+			// The same wide statement sent to each shard directly: the
+			// shard holding the row answers in a plain row frame.
+			wide, err := sql.Parse(wideOneRow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range clients {
+				want, err := wrapper.NewFullAccessSource(parts[i]).Execute(wide)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Execute(wide)
+				if err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+				g := fmt.Sprintf("%q %q", got.Columns, canonicalRows(got, false))
+				w := fmt.Sprintf("%q %q", want.Columns, canonicalRows(want, false))
+				if g != w {
+					t.Errorf("shard %d: wide row over the wire %s, want %s", i, g, w)
+				}
+			}
 
 			// Statistics parity: the merged remote snapshot must agree with
 			// the owned coordinator's merge (same shards, same merge rule).
@@ -117,6 +140,12 @@ func TestConformanceRemote(t *testing.T) {
 		})
 	}
 }
+
+// wideOneRow is a one-row result ten columns wide: its columnar form (one
+// encoding tag per column) outgrows the row form (one cell count per row),
+// so a shard returning it ships a plain row frame.
+const wideOneRow = `SELECT movie_id, title, year, rating, genre,
+	genre, rating, year, title, movie_id FROM movie WHERE movie_id = 17`
 
 // TestConformanceRemoteTCP runs the table-driven cases against questshardd-
 // shaped servers on real sockets — one TCP listener per shard — to keep the

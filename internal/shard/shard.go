@@ -25,27 +25,22 @@
 // serves the in-process case, internal/transport's Client serves remote
 // shards (questshardd servers or loopback pipes) with streaming rows,
 // retries and hedged reads, and the coordinator cannot tell them apart.
-// Fragment fetches and the pushdown merge consume a backend's row stream
-// incrementally when it offers one (wrapper.StreamExecutor), so merging
-// starts before a remote shard finishes sending and the shard server never
-// materializes the fragment. Remote shards ship row batches as columnar
-// frames (per-column dictionary/RLE encodings chosen from statistics — see
-// the wire-protocol notes in internal/sql), which the gather consumes a
-// decoded batch at a time.
+// Fragment fetches consume a backend's row stream incrementally when it
+// offers one (wrapper.StreamExecutor), so gathering starts before a remote
+// shard finishes sending and the shard server never materializes the
+// fragment. Remote shards ship row batches as columnar frames (per-column
+// dictionary/RLE encodings chosen from statistics — see the wire-protocol
+// notes in internal/sql), which the gather consumes a decoded batch at a
+// time.
 //
-// Three fast paths shortcut the general scatter-gather. Single-table
-// statements without aggregation are pushed down whole: each shard runs
-// the statement locally (ORDER BY included, LIMIT widened to
-// OFFSET+LIMIT), and the coordinator merge-sorts the pre-sorted shard
-// streams and applies LIMIT/OFFSET post-merge. Single-table aggregations
-// decompose into per-shard partial aggregates (COUNT/SUM/MIN/MAX, AVG as
-// sum+count — see agg.go) merged exactly at the coordinator, so aggregate
-// queries ship one row per shard and group instead of their fragment
-// rows. Existence probes (ExecuteExists, the engine's PruneEmpty
-// validation) fan out per shard and short-circuit on the first witness
-// row, canceling probes that have not started yet — validation latency
-// scales with the fastest shard holding a match, not with the shard
-// count.
+// Every statement Execute sees takes that one path, so Execute only ever
+// sends a shard `SELECT *` fragments. (The engine's statements are all
+// SELECT DISTINCT, whose cross-shard duplicates no per-shard shortcut
+// could remove.) One fast path remains, for existence: single-table probes
+// (ExecuteExists, the engine's PruneEmpty validation) fan out per shard
+// and short-circuit on the first witness row, canceling probes that have
+// not started yet — validation latency scales with the fastest shard
+// holding a match, not with the shard count.
 //
 // Statistics stay pushdown-friendly too: ColumnStatistics merges the
 // per-shard snapshots (relational.MergeColumnStats) instead of shipping
@@ -68,7 +63,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -123,8 +117,11 @@ type Options struct {
 // operator-facing view of what the sharded layer is doing (benchmark/
 // reports them per request).
 type Stats struct {
-	PushdownQueries     uint64 // single-table statements pushed down whole
-	AggPushdownQueries  uint64 // aggregate statements decomposed into per-shard partials
+	// PushdownQueries and AggPushdownQueries always read 0: every statement
+	// gathers (GatherQueries). They stay so code that reads them keeps
+	// compiling until the benchmark's report drops them.
+	PushdownQueries     uint64
+	AggPushdownQueries  uint64
 	GatherQueries       uint64 // statements served by scatter-gather + coordinator merge
 	FragmentQueries     uint64 // per-shard fragment executions
 	RowsShipped         uint64 // rows crossing a shard→coordinator boundary
@@ -136,11 +133,10 @@ type Stats struct {
 }
 
 type counters struct {
-	pushdown, aggPushdown, gather atomic.Uint64
-	fragments                     atomic.Uint64
-	rowsShipped, pruned           atomic.Uint64
-	existsProbes, existsShort     atomic.Uint64
-	reduced, skipped              atomic.Uint64
+	gather, fragments         atomic.Uint64
+	rowsShipped, pruned       atomic.Uint64
+	existsProbes, existsShort atomic.Uint64
+	reduced, skipped          atomic.Uint64
 }
 
 // ShardedSource implements wrapper.Source (plus the ExistsExecutor,
@@ -308,8 +304,6 @@ func (s *ShardedSource) ShardCount() int { return len(s.backends) }
 // Stats snapshots the coordinator counters.
 func (s *ShardedSource) Stats() Stats {
 	return Stats{
-		PushdownQueries:     s.c.pushdown.Load(),
-		AggPushdownQueries:  s.c.aggPushdown.Load(),
 		GatherQueries:       s.c.gather.Load(),
 		FragmentQueries:     s.c.fragments.Load(),
 		RowsShipped:         s.c.rowsShipped.Load(),
@@ -327,8 +321,6 @@ func (s *ShardedSource) Stats() Stats {
 // clears each counter atomically.
 func (s *ShardedSource) ResetStats() {
 	s.probes.Wait()
-	s.c.pushdown.Store(0)
-	s.c.aggPushdown.Store(0)
 	s.c.gather.Store(0)
 	s.c.fragments.Store(0)
 	s.c.rowsShipped.Store(0)
@@ -614,12 +606,10 @@ func (s *ShardedSource) shardsFor(f *sql.TableFragment) []int {
 	return out
 }
 
-// Execute implements wrapper.Source. Single-table statements without
-// aggregation push down whole (per-shard ORDER BY, widened LIMIT,
-// coordinator merge-sort); single-table aggregations decompose into
-// per-shard partial aggregates merged at the coordinator (agg.go);
-// everything else scatter-gathers the per-table fragments and finishes at
-// the coordinator.
+// Execute implements wrapper.Source. Every statement scatter-gathers its
+// per-table fragments and finishes at the coordinator (executeGather), so
+// aggregation, DISTINCT, ordering and LIMIT/OFFSET all run once, over the
+// gathered rows, with the reference interpreter's semantics.
 func (s *ShardedSource) Execute(stmt *sql.SelectStmt) (*sql.Result, error) {
 	return s.ExecuteCtx(context.Background(), stmt)
 }
@@ -630,12 +620,6 @@ func (s *ShardedSource) Execute(stmt *sql.SelectStmt) (*sql.Result, error) {
 // (remote transport clients) abandon in-flight requests — so a caller
 // that gives up stops paying for shard work promptly.
 func (s *ShardedSource) ExecuteCtx(ctx context.Context, stmt *sql.SelectStmt) (*sql.Result, error) {
-	if s.fullPushdownOK(stmt) {
-		return s.executePushdown(ctx, stmt)
-	}
-	if plan, ok := planAggPushdown(s.schema, stmt); ok {
-		return s.executeAggPushdown(ctx, stmt, plan)
-	}
 	return s.executeGather(ctx, stmt)
 }
 
@@ -768,7 +752,7 @@ func (s *ShardedSource) existsFanOut(ctx context.Context, stmt *sql.SelectStmt) 
 	return false, firstErr
 }
 
-// executeGather is the general path: fetch the fragments' qualifying rows
+// executeGather is Execute's path: fetch the fragments' qualifying rows
 // from their candidate shards — in semi-join-reduced waves when the
 // statement allows it (semijoin.go) — then run the statement over the
 // gathered base tables at the coordinator.
@@ -806,13 +790,13 @@ func (s *ShardedSource) gatherWave(ctx context.Context, frags []sql.TableFragmen
 		}
 		j := jobs[i]
 		s.c.fragments.Add(1)
-		rows, ferr := fetchFragment(ctx, s.backends[j.shard], frags[j.frag].Stmt)
+		res, ferr := fetchResult(ctx, s.backends[j.shard], frags[j.frag].Stmt)
 		if ferr != nil {
 			errs[i] = ferr
 			return
 		}
-		s.c.rowsShipped.Add(uint64(len(rows)))
-		perShard[j.frag][j.shard] = rows
+		s.c.rowsShipped.Add(uint64(len(res.Rows)))
+		perShard[j.frag][j.shard] = res.Rows
 	})
 	for _, e := range errs {
 		if e != nil {
@@ -834,9 +818,9 @@ func (s *ShardedSource) gatherWave(ctx context.Context, frags []sql.TableFragmen
 // clients deliver row or columnar frames as they arrive) and falling
 // back to materializing Execute otherwise. A streaming backend may replay
 // from the top on a mid-stream retry; the sink's Reset keeps the gathered
-// rows exactly-once either way. Both the gather path and the
-// single-table pushdown merge fetch through here, so a shard's own memory
-// stays bounded by its batch size whenever the backend can stream.
+// rows exactly-once either way. Every fragment fetch goes through here, so
+// a shard's own memory stays bounded by its batch size whenever the
+// backend can stream.
 //
 // Dispatch prefers a backend's context-aware face at equal streaming
 // capability, so cancellation reaches as deep as the backend allows:
@@ -864,15 +848,6 @@ func fetchResult(ctx context.Context, b Backend, stmt *sql.SelectStmt) (*sql.Res
 	return b.Execute(stmt)
 }
 
-// fetchFragment is fetchResult for fragment fetches, which only need rows.
-func fetchFragment(ctx context.Context, b Backend, stmt *sql.SelectStmt) ([]relational.Row, error) {
-	res, err := fetchResult(ctx, b, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
 // backendExists routes an existence probe through a backend's
 // context-aware face when it has one, a plain ExecuteExists otherwise.
 func backendExists(ctx context.Context, b Backend, stmt *sql.SelectStmt) (bool, error) {
@@ -883,177 +858,6 @@ func backendExists(ctx context.Context, b Backend, stmt *sql.SelectStmt) (bool, 
 		return false, err
 	}
 	return b.ExecuteExists(stmt)
-}
-
-// trimOffsetLimit applies a statement's OFFSET/LIMIT to coordinator-merged
-// rows — the one post-merge trimming rule shared by the full-pushdown and
-// aggregate-pushdown paths.
-func trimOffsetLimit(rows []relational.Row, stmt *sql.SelectStmt) []relational.Row {
-	if stmt.Offset > 0 {
-		if stmt.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[stmt.Offset:]
-		}
-	}
-	if stmt.Limit >= 0 && stmt.Limit < len(rows) {
-		rows = rows[:stmt.Limit]
-	}
-	return rows
-}
-
-// fullPushdownOK reports whether the whole statement can run per shard
-// with only a merge left for the coordinator: one table, no aggregation or
-// grouping, no DISTINCT (cross-shard duplicates would survive), and ORDER
-// BY keys the shards can evaluate from base columns (alias-only order keys
-// take the gather path, whose finish step resolves them).
-func (s *ShardedSource) fullPushdownOK(stmt *sql.SelectStmt) bool {
-	if len(stmt.Joins) > 0 || len(stmt.GroupBy) > 0 || stmt.Having != nil ||
-		stmt.Distinct || itemsHaveAgg(stmt) {
-		return false
-	}
-	ts := s.schema.Table(stmt.From.Table)
-	if ts == nil {
-		return false
-	}
-	binding := strings.ToLower(stmt.From.Binding())
-	for _, ob := range stmt.OrderBy {
-		if sql.ContainsAggregate(ob.Expr) {
-			return false
-		}
-		for _, r := range sql.ColumnRefs(ob.Expr) {
-			if r.Table != "" && strings.ToLower(r.Table) != binding {
-				return false
-			}
-			if ts.Column(r.Column) == nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// executePushdown ships the whole single-table statement to every
-// candidate shard — ORDER BY kept so each shard returns a sorted stream,
-// LIMIT widened to OFFSET+LIMIT, OFFSET cleared (offsets only make sense
-// globally) — then merge-sorts the streams on appended order-key columns
-// and applies the original LIMIT/OFFSET post-merge.
-func (s *ShardedSource) executePushdown(ctx context.Context, stmt *sql.SelectStmt) (*sql.Result, error) {
-	s.c.pushdown.Add(1)
-	frags, err := sql.Fragments(s.schema, stmt)
-	if err != nil {
-		return nil, err
-	}
-	shards := s.shardsFor(&frags[0])
-	if len(shards) == 0 {
-		// Fully pruned (an IN list of NULLs): no shard to merge columns
-		// from — the gather path derives the projection from the schema.
-		s.c.pushdown.Add(^uint64(0))
-		return s.executeGather(ctx, stmt)
-	}
-	shardStmt := stmt.Clone()
-	shardStmt.Offset = 0
-	if stmt.Limit >= 0 {
-		shardStmt.Limit = stmt.Offset + stmt.Limit
-	}
-	// Append each ORDER BY expression as a trailing projected column so the
-	// coordinator can merge without re-resolving expressions; stripped
-	// before returning.
-	nKeys := len(shardStmt.OrderBy)
-	for i, ob := range shardStmt.OrderBy {
-		shardStmt.Items = append(shardStmt.Items, sql.SelectItem{
-			Expr: ob.Expr, Alias: fmt.Sprintf("__mergekey%d", i),
-		})
-	}
-	results := make([]*sql.Result, len(s.backends))
-	errs := make([]error, len(s.backends))
-	s.forEach(len(shards), func(i int) {
-		si := shards[i]
-		if cerr := ctx.Err(); cerr != nil {
-			errs[si] = cerr
-			return
-		}
-		s.c.fragments.Add(1)
-		res, ferr := fetchResult(ctx, s.backends[si], shardStmt)
-		if ferr != nil {
-			errs[si] = ferr
-			return
-		}
-		s.c.rowsShipped.Add(uint64(len(res.Rows)))
-		results[si] = res
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	merged := mergeShardResults(results, stmt.OrderBy)
-	// Post-merge LIMIT/OFFSET, then strip the merge-key columns.
-	rows := trimOffsetLimit(merged.Rows, stmt)
-	if nKeys > 0 {
-		merged.Columns = merged.Columns[:len(merged.Columns)-nKeys]
-		for i, r := range rows {
-			rows[i] = r[: len(r)-nKeys : len(r)-nKeys]
-		}
-	}
-	return &sql.Result{Columns: merged.Columns, Rows: rows}, nil
-}
-
-// mergeShardResults concatenates per-shard results in shard order, or —
-// when the statement orders — k-way merges the pre-sorted shard streams on
-// the trailing merge-key columns, breaking ties by shard index so the
-// merge is deterministic.
-func mergeShardResults(results []*sql.Result, orderBy []sql.OrderItem) *sql.Result {
-	var columns []string
-	for _, r := range results {
-		if r != nil {
-			columns = r.Columns
-			break
-		}
-	}
-	out := &sql.Result{Columns: columns}
-	if len(orderBy) == 0 {
-		for _, r := range results {
-			if r != nil {
-				out.Rows = append(out.Rows, r.Rows...)
-			}
-		}
-		return out
-	}
-	heads := make([]int, len(results))
-	nKeys := len(orderBy)
-	keyAt := func(row relational.Row, k int) relational.Value {
-		return row[len(row)-nKeys+k]
-	}
-	less := func(a, b relational.Row) bool {
-		for k, ob := range orderBy {
-			c := relational.Compare(keyAt(a, k), keyAt(b, k))
-			if c == 0 {
-				continue
-			}
-			if ob.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	}
-	for {
-		best := -1
-		for si, r := range results {
-			if r == nil || heads[si] >= len(r.Rows) {
-				continue
-			}
-			if best < 0 || less(r.Rows[heads[si]], results[best].Rows[heads[best]]) {
-				best = si
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out.Rows = append(out.Rows, results[best].Rows[heads[best]])
-		heads[best]++
-	}
 }
 
 // itemsHaveAgg reports whether any projection item aggregates.

@@ -432,3 +432,261 @@ func TestShardedExistsMatchesFullAccess(t *testing.T) {
 		}
 	}
 }
+
+// ratedMoviesDB builds a 300-row movie table with NULL years, a float
+// rating and three genres, for aggregate and statistics checks.
+func ratedMoviesDB(t testing.TB) *relational.Database {
+	t.Helper()
+	s := relational.NewSchema()
+	if err := s.AddTable(&relational.TableSchema{
+		Name: "movie",
+		Columns: []relational.Column{
+			{Name: "movie_id", Type: relational.TypeInt, NotNull: true},
+			{Name: "title", Type: relational.TypeString, NotNull: true},
+			{Name: "year", Type: relational.TypeInt},
+			{Name: "rating", Type: relational.TypeFloat},
+			{Name: "genre", Type: relational.TypeString},
+		},
+		PrimaryKey: "movie_id",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := relational.MustNewDatabase("agg", s)
+	genres := []string{"drama", "comedy", "noir"}
+	for i := 1; i <= 300; i++ {
+		year := relational.Value(relational.Int(int64(1950 + i%70)))
+		if i%13 == 0 {
+			year = relational.Null()
+		}
+		if err := db.Insert("movie", relational.Row{
+			relational.Int(int64(i)),
+			relational.String_(fmt.Sprintf("t%d", i)),
+			year,
+			relational.Float(float64(i%97) / 9),
+			relational.String_(genres[i%3]),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+type aggCase struct {
+	q       string
+	ordered bool
+	approx  bool // float aggregate: compare within rounding slack
+}
+
+// checkAggregate runs c through src and ref and compares the results value
+// for value and type for type, in order when c.ordered.
+func checkAggregate(t *testing.T, ref wrapper.Source, src *ShardedSource, c aggCase) {
+	t.Helper()
+	stmt, err := sql.Parse(c.q)
+	if err != nil {
+		t.Fatalf("%s: %v", c.q, err)
+	}
+	want, err := ref.Execute(stmt)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", c.q, err)
+	}
+	got, err := src.Execute(stmt)
+	if err != nil {
+		t.Fatalf("%s: sharded: %v", c.q, err)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows, want %d", c.q, len(got.Rows), len(want.Rows))
+	}
+	match := func(a, b relational.Row) bool {
+		for i := range a {
+			if a[i].Type() != b[i].Type() {
+				return false
+			}
+			if c.approx && a[i].Type() == relational.TypeFloat {
+				av, bv := a[i].AsFloat(), b[i].AsFloat()
+				if diff := av - bv; diff > 1e-9*(1+bv) || diff < -1e-9*(1+bv) {
+					return false
+				}
+				continue
+			}
+			if a[i].Key() != b[i].Key() {
+				return false
+			}
+		}
+		return true
+	}
+	if c.ordered || len(want.Rows) <= 1 {
+		for i := range want.Rows {
+			if !match(got.Rows[i], want.Rows[i]) {
+				t.Errorf("%s: row %d: got %v, want %v", c.q, i, got.Rows[i], want.Rows[i])
+			}
+		}
+	} else {
+		used := make([]bool, len(want.Rows))
+	outer:
+		for _, g := range got.Rows {
+			for i, w := range want.Rows {
+				if !used[i] && match(g, w) {
+					used[i] = true
+					continue outer
+				}
+			}
+			t.Errorf("%s: unmatched row %v", c.q, g)
+		}
+	}
+	for i := range want.Columns {
+		if got.Columns[i] != want.Columns[i] {
+			t.Errorf("%s: column %d %q, want %q", c.q, i, got.Columns[i], want.Columns[i])
+		}
+	}
+}
+
+// TestAggPushdownMatchesReference holds sharded aggregation, grouping,
+// ordering and LIMIT/OFFSET to reference semantics. The name dates from
+// per-shard partial aggregation; every sharded SELECT now scatter-gathers,
+// so this checks the gather path.
+func TestAggPushdownMatchesReference(t *testing.T) {
+	db := ratedMoviesDB(t)
+	ref := wrapper.NewFullAccessSource(db)
+	parts, err := Partition(db, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := New(db.Name, parts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []aggCase{
+		{q: "SELECT COUNT(*) FROM movie"},
+		{q: "SELECT COUNT(*) FROM movie WHERE genre = 'noir'"},
+		{q: "SELECT COUNT(year), MIN(year), MAX(year), AVG(year), SUM(year) FROM movie"},
+		{q: "SELECT COUNT(*) FROM movie WHERE movie_id = 41"},
+		{q: "SELECT COUNT(*) FROM movie WHERE year > 3000"},
+		{q: "SELECT genre, COUNT(*), SUM(year) FROM movie GROUP BY genre ORDER BY genre", ordered: true},
+		{q: "SELECT genre, COUNT(*) AS c FROM movie GROUP BY genre ORDER BY c DESC, genre", ordered: true},
+		{q: "SELECT year, COUNT(*) FROM movie GROUP BY year ORDER BY year LIMIT 7 OFFSET 2", ordered: true},
+		{q: "SELECT genre FROM movie GROUP BY genre ORDER BY genre", ordered: true},
+		{q: "SELECT MIN(title), MAX(title) FROM movie"},
+		// A float AVG is exact only up to summation order: shard
+		// concatenation visits rows in a different order than the
+		// single-node scan, so the comparison allows rounding slack.
+		{q: "SELECT AVG(rating) FROM movie", approx: true},
+		{q: "SELECT genre, COUNT(*) FROM movie GROUP BY genre HAVING COUNT(*) > 10 ORDER BY genre", ordered: true},
+		// An alias shadowing a real column: the reference resolves ORDER BY
+		// against the base column first, and so must the coordinator.
+		{q: "SELECT genre AS year, COUNT(*) FROM movie GROUP BY genre ORDER BY year"},
+	} {
+		checkAggregate(t, ref, src, c)
+	}
+}
+
+// TestAggPushdownGroupKeyNoCollision pins sharded group identity: string
+// group keys whose naive concatenations coincide — ("x|sy", "z") vs ("x",
+// "y|sz") under a '|' join — must stay separate groups, exactly as the
+// reference interpreter keeps them.
+func TestAggPushdownGroupKeyNoCollision(t *testing.T) {
+	s := relational.NewSchema()
+	if err := s.AddTable(&relational.TableSchema{
+		Name: "kv",
+		Columns: []relational.Column{
+			{Name: "id", Type: relational.TypeInt, NotNull: true},
+			{Name: "a", Type: relational.TypeString},
+			{Name: "b", Type: relational.TypeString},
+		},
+		PrimaryKey: "id",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := relational.MustNewDatabase("kv", s)
+	for i, r := range []struct{ a, b string }{
+		{"x|sy", "z"}, {"x", "y|sz"}, {"x|sy", "z"}, {"plain", "keys"},
+	} {
+		if err := db.Insert("kv", relational.Row{
+			relational.Int(int64(i + 1)), relational.String_(r.a), relational.String_(r.b),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts, err := Partition(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := New(db.Name, parts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAggregate(t, wrapper.NewFullAccessSource(db), src,
+		aggCase{q: "SELECT a, b, COUNT(*) FROM kv GROUP BY a, b ORDER BY a, b", ordered: true})
+}
+
+// slowStatsBackend blocks in ColumnStatistics so the test can observe the
+// fan-out's concurrency.
+type slowStatsBackend struct {
+	stubBackend
+	db       *relational.Database
+	inFlight *atomic.Int32
+	peak     *atomic.Int32
+}
+
+func (b *slowStatsBackend) ColumnStatistics(table, column string) (*relational.ColumnStats, error) {
+	n := b.inFlight.Add(1)
+	for {
+		p := b.peak.Load()
+		if n <= p || b.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	b.inFlight.Add(-1)
+	return b.db.Table(table).Stats(column)
+}
+
+// TestColumnStatisticsBoundedFanOut pins the statistics fan-out to the
+// source's bounded worker pool: with W workers and many more shards, at
+// most W per-shard fetches run at once — and goroutine growth during the
+// call stays at the pool size, never one goroutine per shard per column.
+func TestColumnStatisticsBoundedFanOut(t *testing.T) {
+	db := ratedMoviesDB(t)
+	const shards, workers = 24, 3
+	var inFlight, peak atomic.Int32
+	backends := make([]Backend, shards)
+	for i := range backends {
+		backends[i] = &slowStatsBackend{db: db, inFlight: &inFlight, peak: &peak}
+	}
+	src := NewFromBackends("stats", db.Schema, backends, Options{Workers: workers})
+
+	baseline := runtime.NumGoroutine()
+	quit := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		peak := 0
+		ticker := time.NewTicker(200 * time.Microsecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				sampled <- peak
+				return
+			case <-ticker.C:
+				if g := runtime.NumGoroutine(); g > peak {
+					peak = g
+				}
+			}
+		}
+	}()
+	for _, col := range []string{"movie_id", "year", "genre", "rating"} {
+		if _, err := src.ColumnStatistics("movie", col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(quit)
+	goroutinePeak := <-sampled
+
+	if p := peak.Load(); p > workers {
+		t.Errorf("statistics fan-out ran %d shard fetches at once, pool is %d", p, workers)
+	}
+	// +1 for the sampling goroutine itself, +2 slack for runtime noise.
+	if limit := baseline + workers + 3; goroutinePeak > limit {
+		t.Errorf("goroutine peak %d during statistics fan-out, want <= %d (baseline %d + pool %d)",
+			goroutinePeak, limit, baseline, workers)
+	}
+}
