@@ -97,6 +97,28 @@ func shardedSourceFor(b *testing.B, shards int) *quest.ShardedSource {
 	return src
 }
 
+// remoteSourceFor partitions a fresh IMDB instance and opens the sharded
+// execution layer over loopback transport clients, one per shard; the
+// caller closes it.
+func remoteSourceFor(b *testing.B, shards int) *quest.ShardedSource {
+	b.Helper()
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
+	parts, err := quest.PartitionDatabase(db, shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	backends := make([]shard.Backend, len(parts))
+	for i, p := range parts {
+		c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), transport.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		backends[i] = c
+	}
+	return shard.NewFromBackends(db.Name, db.Schema, backends,
+		shard.Options{AssumeHashRouting: true})
+}
+
 // BenchmarkComponent_ShardedJoinGather measures the scatter-gather join
 // path: pushed-down fragments on 4 shards, coordinator join/finish.
 // Compare against BenchmarkComponent_SQLExecutorJoin (same statement,
@@ -123,10 +145,25 @@ func BenchmarkComponent_ShardedJoinGather(b *testing.B) {
 }
 
 // BenchmarkComponent_ShardedExists measures the validation shape over the
-// sharded layer: a join existence probe that gathers pushed-down fragments
-// and stops at the coordinator's first witness row.
+// sharded layer: a join existence probe that gathers the join-key columns
+// of its semi-join-reduced fragments from 4 in-process shards and decides
+// with one semi-join pass at the coordinator.
 func BenchmarkComponent_ShardedExists(b *testing.B) {
-	src := shardedSourceFor(b, 4)
+	benchShardedExists(b, shardedSourceFor(b, 4))
+}
+
+// BenchmarkComponent_RemoteExists measures the same probe over 4 loopback
+// shards: the path a fleet's PruneEmpty takes, key-only fragments encoded,
+// shipped and decoded over the wire protocol.
+func BenchmarkComponent_RemoteExists(b *testing.B) {
+	src := remoteSourceFor(b, 4)
+	defer src.Close()
+	benchShardedExists(b, src)
+}
+
+// benchShardedExists times ExecuteExists of a three-table join probe that
+// has witness rows.
+func benchShardedExists(b *testing.B, src *quest.ShardedSource) {
 	stmt, err := quest.ParseSQL(`SELECT person.name FROM person
 		JOIN cast_info ON cast_info.person_id = person.person_id
 		JOIN movie ON movie.movie_id = cast_info.movie_id
@@ -181,21 +218,7 @@ func BenchmarkComponent_RemoteGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 4})
-	parts, err := quest.PartitionDatabase(db, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	backends := make([]shard.Backend, len(parts))
-	for i, p := range parts {
-		c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), transport.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		backends[i] = c
-	}
-	src := shard.NewFromBackends(db.Name, db.Schema, backends,
-		shard.Options{AssumeHashRouting: true})
+	src := remoteSourceFor(b, 4)
 	defer src.Close()
 	if _, err := src.Execute(stmt); err != nil { // warm shard plans
 		b.Fatal(err)

@@ -42,9 +42,10 @@ func newRemoteSharded(t testing.TB, name string, parts []*relational.Database, o
 // conformance-remote`). At every shard count both batch forms, columnar
 // frames and the row-frame fallback, must cross the wire, so the fallback
 // stays under the byte-identical contract. The coordinator ships only
-// `SELECT *` fragments, which always encode columnar, so the row frame
-// comes from a wide statement sent to each shard directly and held to
-// that shard's own reference.
+// `SELECT *` fragments and, for join existence probes, join-key columns;
+// neither is sure to produce a row frame, so the row frame comes from a
+// wide statement sent to each shard directly and held to that shard's own
+// reference.
 func TestConformanceRemote(t *testing.T) {
 	for _, shards := range []int{1, 3, 7} {
 		shards := shards

@@ -3,7 +3,9 @@ package conformance
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -184,4 +186,98 @@ func TestGatherLeavesTablesUntouched(t *testing.T) {
 			t.Errorf("table changed by the gathers: %s became %s", before[i], after[i])
 		}
 	}
+}
+
+// fragmentRecorder is a shard backend that records every statement the
+// coordinator executes on it (fragment fetches reach a backend without a
+// streaming face through Execute).
+type fragmentRecorder struct {
+	shard.Backend
+	mu    sync.Mutex
+	stmts []*sql.SelectStmt
+}
+
+func (r *fragmentRecorder) Execute(stmt *sql.SelectStmt) (*sql.Result, error) {
+	r.mu.Lock()
+	r.stmts = append(r.stmts, stmt)
+	r.mu.Unlock()
+	return r.Backend.Execute(stmt)
+}
+
+// TestIMDBCandidatesExistsSharded holds the fleet's existence verdicts to
+// the candidate golden: every statement runs through ExecuteExists at 3
+// shards over IMDB{Seed:42, Scale:32}, on owned shards and behind the wire
+// protocol, and must answer the line's exists=. Behind the wire every
+// shard records what it is sent, and no joined statement's probe may ship
+// a `SELECT *` fragment: the engine's join probes gather join-key columns
+// and are decided by the coordinator's semi-join pass, never by the
+// LIMIT 1 gather-and-join fallback.
+func TestIMDBCandidatesExistsSharded(t *testing.T) {
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 32})
+	parts, err := shard.Partition(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := shard.New(db.Name, parts, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorders := make([]*fragmentRecorder, len(parts))
+	backends := make([]shard.Backend, len(parts))
+	for i, p := range parts {
+		c, err := transport.NewLoopbackClient(wrapper.NewFullAccessSource(p), transport.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		recorders[i] = &fragmentRecorder{Backend: c}
+		backends[i] = recorders[i]
+	}
+	remote := shard.NewFromBackends(db.Name, db.Schema, backends, shard.Options{AssumeHashRouting: true})
+
+	srcs, lines := candidateSQL(t)
+	keyOnly := 0
+	for i, src := range srcs {
+		head, _, _ := strings.Cut(lines[i], "\t")
+		var want string
+		for _, f := range strings.Fields(head) {
+			if v, ok := strings.CutPrefix(f, "exists="); ok {
+				want = v
+			}
+		}
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recorders {
+			r.stmts = r.stmts[:0]
+		}
+		for _, cand := range []struct {
+			name string
+			src  *shard.ShardedSource
+		}{{"owned", owned}, {"remote", remote}} {
+			got := "error"
+			if ok, err := cand.src.ExecuteExists(stmt); err == nil {
+				got = fmt.Sprint(ok)
+			}
+			if got != want {
+				t.Errorf("%s %s: exists=%s, want %s", cand.name, src, got, want)
+			}
+		}
+		if len(stmt.Joins) == 0 {
+			continue
+		}
+		for _, r := range recorders {
+			for _, f := range r.stmts {
+				if f.Items[0].Star {
+					t.Fatalf("%s: the existence probe shipped %s", src, f.SQL())
+				}
+				keyOnly++
+			}
+		}
+	}
+	if keyOnly == 0 {
+		t.Fatal("no joined statement shipped a fragment; the recorder no longer sees the probes")
+	}
+	t.Logf("joined probes shipped %d key-only fragments", keyOnly)
 }

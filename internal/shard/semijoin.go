@@ -38,7 +38,10 @@ import (
 //
 // As soon as a gathered side of the inner join is empty, or a key set is
 // empty, the result is empty: the fragments not yet shipped are skipped,
-// which is what makes refuting existence probes cheap.
+// which is what makes refuting existence probes cheap. Existence probes
+// run the same waves over key-only fragments (sql.ExistsFragments), so
+// key sets are read at each key's position in the narrowed rows
+// (TableFragment.Pos).
 
 const (
 	// semiJoinMaxKeys caps the key set shipped as one IN list. Past it the
@@ -52,15 +55,15 @@ const (
 	semiJoinDivisor = 4
 )
 
-// gatherReduced gathers every fragment of stmt, semi-join reduced where
-// that is sound, and returns the row sets for ExecuteRows. Fragments
-// skipped because the join is provably empty come back nil.
-func (s *ShardedSource) gatherReduced(ctx context.Context, stmt *sql.SelectStmt, frags []sql.TableFragment) ([][]relational.Row, error) {
+// gatherReduced gathers every fragment, semi-join reduced along edges (the
+// statement's sql.InnerJoinKeys; nil when the reduction is not sound), and
+// returns the row sets for ExecuteRows or SemiJoinExists. Fragments
+// skipped because the join is provably empty come back empty.
+func (s *ShardedSource) gatherReduced(ctx context.Context, frags []sql.TableFragment, edges []sql.KeyEdge) ([][]relational.Row, error) {
 	tables := make([][]relational.Row, len(frags))
-	edges, reducible := sql.InnerJoinKeys(s.schema, stmt)
 	var wave, pending []int
 	for fi := range frags {
-		if reducible && len(frags[fi].Pushed) == 0 {
+		if edges != nil && len(frags[fi].Pushed) == 0 {
 			pending = append(pending, fi)
 		} else {
 			wave = append(wave, fi)
@@ -145,7 +148,7 @@ func (s *ShardedSource) reduceWave(frags []sql.TableFragment, edges []sql.KeyEdg
 				continue
 			}
 			adjacent[pi] = true
-			keys, ok := keySet(tables[src], srcCol, limit)
+			keys, ok := keySet(tables[src], frags[src].Pos(srcCol), limit)
 			if !ok {
 				continue
 			}
@@ -184,12 +187,14 @@ func (s *ShardedSource) reduceWave(frags []sql.TableFragment, edges []sql.KeyEdg
 	return wave, rest, false
 }
 
-// keySet returns the distinct non-NULL values of column col over rows, in
+// keySet returns the distinct non-NULL values at position col of rows, in
 // first-occurrence order, or ok=false once there are more than limit of
 // them or a value is neither an integer nor a string (the key types whose
 // literal form round-trips exactly through the fragment SQL).
 func keySet(rows []relational.Row, col, limit int) (keys []relational.Value, ok bool) {
-	seen := make(map[relational.Value]struct{})
+	n := min(len(rows), limit)
+	seen := make(map[relational.Value]struct{}, n)
+	keys = make([]relational.Value, 0, n)
 	for _, r := range rows {
 		v := r[col]
 		switch v.Type() {

@@ -14,11 +14,12 @@
 // first, then each remaining one restricted to the join keys its gathered
 // neighbours produced, so a link table ships the rows that can join rather
 // than all of them, and a join refuted by an empty side ships nothing
-// more. Joins, residual predicates, projection, aggregation, DISTINCT,
-// ordering and limits then run at the coordinator (sql.ExecuteRows) with
-// the reference interpreter's semantics, so results are multiset-identical
-// to single-node execution; the internal/conformance differential suite
-// holds every backend to that contract.
+// more. For Execute, joins, residual predicates, projection, aggregation,
+// DISTINCT, ordering and limits then run at the coordinator
+// (sql.ExecuteRows) with the reference interpreter's semantics, so results
+// are multiset-identical to single-node execution; the
+// internal/conformance differential suite holds every backend to that
+// contract.
 //
 // Backends are addressed through one executor interface (Backend) whether
 // they live in this process or behind the wire: wrapper.FullAccessSource
@@ -36,11 +37,17 @@
 // Every statement Execute sees takes that one path, so Execute only ever
 // sends a shard `SELECT *` fragments. (The engine's statements are all
 // SELECT DISTINCT, whose cross-shard duplicates no per-shard shortcut
-// could remove.) One fast path remains, for existence: single-table probes
-// (ExecuteExists, the engine's PruneEmpty validation) fan out per shard
-// and short-circuit on the first witness row, canceling probes that have
-// not started yet — validation latency scales with the fastest shard
-// holding a match, not with the shard count.
+// could remove.) Existence (ExecuteExists, the engine's PruneEmpty
+// validation) has two shapes of its own. Single-table probes fan out per
+// shard and short-circuit on the first witness row, canceling probes that
+// have not started yet — validation latency scales with the fastest shard
+// holding a match, not with the shard count. Join probes whose join keys
+// form a tree of single-column inner equi-joins, with every WHERE
+// conjunct pushed down (sql.ExistsFragments: every join the engine
+// builds), gather the same reduced waves but ship only each table's
+// join-key columns, and the coordinator decides with one bottom-up
+// semi-join pass over them (sql.SemiJoinExists) instead of building the
+// joined rows. Other join probes run Execute under LIMIT 1.
 //
 // Statistics stay pushdown-friendly too: ColumnStatistics merges the
 // per-shard snapshots (relational.MergeColumnStats) instead of shipping
@@ -48,9 +55,9 @@
 // operator tooling, a future coordinator-side join planner) a whole-data
 // view without row movement; each shard's own planner meanwhile keeps
 // using its local statistics for fragment access paths. The merged row
-// counts size the semi-join reduction; the coordinator's join step itself
-// is still the reference interpreter — it joins gathered fragments in
-// written order. AttributeScore/EdgeDistance combine per-shard relevance
+// counts size the semi-join reduction; Execute's coordinator join step
+// itself is still the reference interpreter — it joins gathered fragments
+// in written order. AttributeScore/EdgeDistance combine per-shard relevance
 // evidence (max, respectively row-agnostic mean) — approximate where
 // exact merging would need global recomputation, and documented as such.
 package shard
@@ -625,20 +632,23 @@ func (s *ShardedSource) ExecuteCtx(ctx context.Context, stmt *sql.SelectStmt) (*
 
 // ExecuteExists implements wrapper.ExistsExecutor. Single-table probes fan
 // out one existence query per (non-pruned) shard and return on the first
-// witness row, canceling probes that have not started; join probes gather
-// the pushed-down fragments and decide emptiness at the coordinator with a
-// LIMIT 1 rewrite, so their cost is the (semi-join-reduced) gather cost,
-// never the full join result — and a probe refuted by an empty keyword
-// selection stops after gathering it.
+// witness row, canceling probes that have not started. Join probes that
+// sql.ExistsFragments accepts gather only their join-key columns, in the
+// semi-join-reduced waves Execute uses, and are decided by
+// sql.SemiJoinExists at the coordinator: no joined row is built, and a
+// probe refuted by an empty keyword selection stops after gathering it.
+// Any other join probe (LEFT joins, residual ON or WHERE conjuncts,
+// composite keys, aggregates) runs Execute under LIMIT 1.
 func (s *ShardedSource) ExecuteExists(stmt *sql.SelectStmt) (bool, error) {
 	return s.ExecuteExistsCtx(context.Background(), stmt)
 }
 
-// ExecuteExistsCtx implements wrapper.ContextExistsExecutor: the
-// existence fan-out is rooted in the caller's context, so cancelling the
-// request cancels probes that have not started and unblocks the wait on
-// in-flight ones — the coordinator returns the context's error promptly
-// even when a shard backend has stalled.
+// ExecuteExistsCtx implements wrapper.ContextExistsExecutor: ExecuteExists
+// with the existence fan-out and the key-column gather rooted in the
+// caller's context, so cancelling the request cancels probes and fragment
+// fetches that have not started and unblocks the wait on in-flight probes
+// — the coordinator returns the context's error promptly even when a
+// shard backend has stalled.
 func (s *ShardedSource) ExecuteExistsCtx(ctx context.Context, stmt *sql.SelectStmt) (bool, error) {
 	if stmt.Limit == 0 {
 		return false, nil
@@ -646,6 +656,19 @@ func (s *ShardedSource) ExecuteExistsCtx(ctx context.Context, stmt *sql.SelectSt
 	if len(stmt.Joins) == 0 && len(stmt.GroupBy) == 0 && stmt.Having == nil &&
 		!itemsHaveAgg(stmt) && stmt.Offset == 0 {
 		return s.existsFanOut(ctx, stmt)
+	}
+	if frags, edges, ok := sql.ExistsFragments(s.schema, stmt); ok {
+		s.c.gather.Add(1)
+		tables, err := s.gatherReduced(ctx, frags, edges)
+		if err != nil {
+			return false, err
+		}
+		for _, rows := range tables {
+			if len(rows) == 0 { // an empty or skipped side refutes the inner join
+				return false, nil
+			}
+		}
+		return sql.SemiJoinExists(frags, edges, tables), nil
 	}
 	probe := stmt.Clone()
 	probe.OrderBy = nil
@@ -762,7 +785,8 @@ func (s *ShardedSource) executeGather(ctx context.Context, stmt *sql.SelectStmt)
 	if err != nil {
 		return nil, err
 	}
-	tables, err := s.gatherReduced(ctx, stmt, frags)
+	edges, _ := sql.InnerJoinKeys(s.schema, stmt)
+	tables, err := s.gatherReduced(ctx, frags, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -804,7 +828,11 @@ func (s *ShardedSource) gatherWave(ctx context.Context, frags []sql.TableFragmen
 		}
 	}
 	for _, fi := range wave {
-		var rows []relational.Row
+		n := 0
+		for _, shardRows := range perShard[fi] {
+			n += len(shardRows)
+		}
+		rows := make([]relational.Row, 0, n)
 		for _, shardRows := range perShard[fi] {
 			rows = append(rows, shardRows...)
 		}

@@ -231,11 +231,14 @@
 //     the single-table WHERE conjuncts that are legal below every join
 //     (the planner's own pushdown rule: conjuncts on the null-extended
 //     side of a LEFT JOIN stay above, as do aggregate, multi-table,
-//     constant and unresolvable conjuncts). A backend runs the fragment
-//     with whatever local plan it likes — the in-memory shards use their
-//     own index access paths — and returns the qualifying rows in schema
-//     column order. Fragment SQL()-serializes, so any engine that answers
-//     a single-table SELECT can serve it.
+//     constant and unresolvable conjuncts) — or, for an existence probe
+//     (ExistsFragments), the same WHERE under a select list of the
+//     table's join-key columns (TableFragment.Cols, plain column items,
+//     no DISTINCT). A backend runs the fragment with whatever local plan
+//     it likes — the in-memory shards use their own index access paths —
+//     and returns the qualifying rows in schema column order, or in Cols
+//     order. Fragment SQL()-serializes, so any engine that answers a
+//     single-table SELECT can serve it.
 //   - What the coordinator merges. ExecuteRows runs joins and the full
 //     WHERE (re-evaluating pushed conjuncts is harmless — pushdown is a
 //     bandwidth optimization, never the only evaluation) over the gathered
@@ -244,6 +247,13 @@
 //     over the union of the partitions. Errors keep their per-row surfacing: a conjunct no
 //     backend could check still fails at the coordinator exactly where
 //     the interpreter would fail it.
+//   - What the coordinator decides from keys alone. When ExistsFragments
+//     accepts a join statement — a tree of single-column inner
+//     equi-joins, every WHERE conjunct pushed, a select list of columns,
+//     no aggregate, GROUP BY, HAVING or OFFSET — the key-only rows decide
+//     existence: SemiJoinExists makes one bottom-up semi-join pass over
+//     them, pairing keys exactly as ExecuteRows' hash join does, and the
+//     join has a row iff the root keeps one. No joined row is built.
 //   - Partition pruning. A fragment whose pushed conjuncts pin the
 //     table's primary key to an equality literal or an all-literal IN
 //     list carries those values as PKValues; a hash-partitioned

@@ -68,8 +68,11 @@ func keyDB(t testing.TB, rows map[string][][2]relational.Value) *relational.Data
 
 // checkExists holds every existence answer for src to the reference
 // interpreter's row count: the index walk (when walkable, which must match
-// whether the plan has a join tree), the streaming path and Exists itself.
-// It returns the verdict.
+// whether the plan has a join tree), the streaming path, Exists itself and
+// the fleet coordinator's decision (key-only fragments run here, then
+// SemiJoinExists), which ExistsFragments must accept exactly for the
+// walkable statements — the two eligibility rules coincide on every shape
+// these tests build. It returns the verdict.
 func checkExists(t testing.TB, db *relational.Database, src string, walkable bool) bool {
 	t.Helper()
 	stmt, err := Parse(src)
@@ -102,6 +105,23 @@ func checkExists(t testing.TB, db *relational.Database, src string, walkable boo
 	}
 	if got, err := Exists(db, stmt); err != nil || got != want {
 		t.Fatalf("%s: Exists %v (err %v), want %v", src, got, err, want)
+	}
+	frags, edges, ok := ExistsFragments(db.Schema, stmt)
+	if ok != walkable {
+		t.Fatalf("%s: ExistsFragments ok %v, want %v", src, ok, walkable)
+	}
+	if ok {
+		tables := make([][]relational.Row, len(frags))
+		for i, f := range frags {
+			res, err := Execute(db, f.Stmt)
+			if err != nil {
+				t.Fatalf("%s: fragment %s: %v", src, f.SQL(), err)
+			}
+			tables[i] = res.Rows
+		}
+		if got := SemiJoinExists(frags, edges, tables); got != want {
+			t.Fatalf("%s: SemiJoinExists %v, want %v", src, got, want)
+		}
 	}
 	return want
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/relational"
@@ -10,19 +11,25 @@ import (
 // TableFragment is the per-table unit of distributed execution: the part of
 // a statement a remote backend can run entirely on its own rows. The
 // coordinator ships Stmt — `SELECT * FROM <table> [WHERE <pushed
-// conjuncts>]` — to every backend holding a partition of the table, gathers
-// the (already filtered) rows, and finishes joins, residual predicates,
-// projection, ordering and limits itself (ExecuteRows). Stmt.SQL() is the
-// fragment's wire form; any engine that can answer a single-table SELECT
-// can serve it.
+// conjuncts>]`, or only the table's join-key columns for an existence
+// probe (ExistsFragments) — to every backend holding a partition of the
+// table, gathers the (already filtered) rows, and finishes joins, residual
+// predicates, projection, ordering and limits itself (ExecuteRows), or
+// decides existence with one semi-join pass (SemiJoinExists). Stmt.SQL()
+// is the fragment's wire form; any engine that can answer a single-table
+// SELECT can serve it.
 type TableFragment struct {
 	// Ref is the FROM/JOIN table reference the fragment covers, alias
 	// included so pushed conjuncts resolve on the backend exactly as they
 	// did in the original statement.
 	Ref TableRef
-	// Stmt is the executable fragment: SELECT * over Ref with the pushed
-	// conjuncts as its WHERE. It is freshly built per Fragments call and
-	// owned by the caller.
+	// Cols lists the schema ordinals of the columns the fragment ships, in
+	// shipped order; nil ships every column (`SELECT *`). Pos maps an
+	// ordinal to its position in a shipped row.
+	Cols []int
+	// Stmt is the executable fragment: Cols (or *) over Ref with the
+	// pushed conjuncts as its WHERE. It is freshly built per Fragments
+	// call and owned by the caller.
 	Stmt *SelectStmt
 	// Pushed lists the WHERE conjuncts the fragment evaluates remotely,
 	// followed by any semi-join restriction (Restrict). Conjuncts not
@@ -42,6 +49,16 @@ type TableFragment struct {
 // SQL renders the fragment's executable statement (the serialized form the
 // coordinator ships to a backend).
 func (f *TableFragment) SQL() string { return f.Stmt.SQL() }
+
+// Pos returns the position, in a row the fragment ships, of the column at
+// schema ordinal col: col itself for `SELECT *`, its index in Cols
+// otherwise (-1 when the fragment does not ship it).
+func (f *TableFragment) Pos(col int) int {
+	if f.Cols == nil {
+		return col
+	}
+	return slices.Index(f.Cols, col)
+}
 
 // ColumnRefs returns every column reference inside an expression, in
 // traversal order. Exported for coordinators (internal/shard) that must
@@ -88,7 +105,8 @@ func fragmentRelation(schema *relational.Schema, tr TableRef) (*relation, error)
 //
 // Fragments come back in clause order (FROM first, then each JOIN), one per
 // table reference, so the result aligns with stmt.Tables() and with the
-// tables argument of ExecuteRows.
+// tables argument of ExecuteRows. Each is `SELECT *` (Cols nil);
+// ExistsFragments narrows them to join-key columns.
 func Fragments(schema *relational.Schema, stmt *SelectStmt) ([]TableFragment, error) {
 	refs := stmt.Tables()
 	frags := make([]TableFragment, len(refs))
@@ -150,22 +168,31 @@ func Fragments(schema *relational.Schema, stmt *SelectStmt) ([]TableFragment, er
 	}
 
 	for i := range frags {
-		frags[i].Stmt = fragmentStmt(frags[i].Ref, frags[i].Pushed)
+		frags[i].Stmt = fragmentStmt(schema, &frags[i])
 		frags[i].PKValues = pkRestriction(schema, locals[i], &frags[i])
 	}
 	return frags, nil
 }
 
-// fragmentStmt builds a fragment's executable statement: SELECT * over the
-// reference with the pushed conjuncts as its WHERE.
-func fragmentStmt(ref TableRef, pushed []Expr) *SelectStmt {
+// fragmentStmt builds a fragment's executable statement: its Cols as plain
+// column items (or * when Cols is nil) over the reference, with the pushed
+// conjuncts as its WHERE.
+func fragmentStmt(schema *relational.Schema, f *TableFragment) *SelectStmt {
 	var where Expr
-	if len(pushed) > 0 {
-		where = andAll(pushed)
+	if len(f.Pushed) > 0 {
+		where = andAll(f.Pushed)
+	}
+	items := []SelectItem{{Star: true}}
+	if f.Cols != nil {
+		ts := schema.Table(f.Ref.Table)
+		items = make([]SelectItem, len(f.Cols))
+		for i, c := range f.Cols {
+			items[i] = SelectItem{Expr: &ColumnRef{Table: f.Ref.Binding(), Column: ts.Columns[c].Name}}
+		}
 	}
 	return &SelectStmt{
-		Items: []SelectItem{{Star: true}},
-		From:  ref,
+		Items: items,
+		From:  f.Ref,
 		Where: where,
 		Limit: -1,
 	}
@@ -227,9 +254,113 @@ func InnerJoinKeys(schema *relational.Schema, stmt *SelectStmt) (edges []KeyEdge
 	return edges, true
 }
 
+// ExistsFragments returns the fragments and join keys that decide a join
+// statement's existence from its join-key columns alone, when that is
+// exact: InnerJoinKeys vouches for the statement with one key per join
+// (each join then links its table to one earlier table, so the keys form
+// a spanning tree of the table references; composite keys are refused),
+// every WHERE conjunct is pushed into a fragment, every select item is a
+// star or a column of the joined tables, and neither an aggregate, GROUP
+// BY, HAVING, OFFSET nor LIMIT 0 bears on the answer. Each fragment ships
+// only its table's join-key columns (Cols, ascending ordinals), with no
+// DISTINCT, and SemiJoinExists over the gathered rows answers what Exists
+// answers over the union of the partitions. ORDER BY and a positive LIMIT
+// do not change whether a row exists. ok is false for every other shape.
+func ExistsFragments(schema *relational.Schema, stmt *SelectStmt) (frags []TableFragment, edges []KeyEdge, ok bool) {
+	if len(stmt.GroupBy) > 0 || stmt.Having != nil || stmt.Offset != 0 || stmt.Limit == 0 {
+		return nil, nil, false
+	}
+	for _, o := range stmt.OrderBy {
+		if containsAgg(o.Expr) {
+			return nil, nil, false
+		}
+	}
+	edges, ok = InnerJoinKeys(schema, stmt)
+	if !ok || len(edges) != len(stmt.Joins) {
+		return nil, nil, false
+	}
+	frags, err := Fragments(schema, stmt)
+	if err != nil {
+		return nil, nil, false
+	}
+	full := &relation{}
+	pushed := 0
+	for i := range frags {
+		local, _ := fragmentRelation(schema, frags[i].Ref) // resolved by Fragments
+		full.cols = append(full.cols, local.cols...)
+		pushed += len(frags[i].Pushed)
+	}
+	if stmt.Where != nil && pushed != len(splitAnd(stmt.Where)) {
+		return nil, nil, false
+	}
+	for _, it := range stmt.Items {
+		if it.Star {
+			continue
+		}
+		cr, col := it.Expr.(*ColumnRef)
+		if !col {
+			return nil, nil, false
+		}
+		if _, err := full.resolve(cr); err != nil {
+			return nil, nil, false
+		}
+	}
+	for _, e := range edges {
+		frags[e.A].Cols = append(frags[e.A].Cols, e.ACol)
+		frags[e.B].Cols = append(frags[e.B].Cols, e.BCol)
+	}
+	for i := range frags {
+		slices.Sort(frags[i].Cols)
+		frags[i].Cols = slices.Compact(frags[i].Cols)
+		frags[i].Stmt = fragmentStmt(schema, &frags[i])
+	}
+	return frags, edges, true
+}
+
+// SemiJoinExists decides whether the inner join described by
+// ExistsFragments' fragments and edges has a row, given tables[i], the
+// rows fragment i shipped. It roots the join tree at fragment 0 and makes
+// one bottom-up semi-join pass (Yannakakis, VLDB 1981): each child's
+// surviving rows are indexed on its key, and a parent row survives iff it
+// has a partner in every child, so the join is non-empty iff a root row
+// survives. Rows are paired exactly as ExecuteRows' hash join pairs them
+// (equal joinKey hashes, then joinKeysEqual): a NULL key never matches,
+// and INT, FLOAT and NaN keys match as they do in the join. The pass
+// compacts each table's slice in place, so the caller's tables hold only
+// surviving rows afterwards.
+func SemiJoinExists(frags []TableFragment, edges []KeyEdge, tables [][]relational.Row) bool {
+	// edges[j] links fragment j+1 (B) to its parent, an earlier fragment
+	// (A), so walking the edges backwards reduces every child before its
+	// parent.
+	for j := len(edges) - 1; j >= 0; j-- {
+		e := edges[j]
+		pk, ck := []int{frags[e.A].Pos(e.ACol)}, []int{frags[e.B].Pos(e.BCol)}
+		children := tables[e.B]
+		index := buildIndex(children, ck)
+		kept := tables[e.A][:0]
+		for _, row := range tables[e.A] {
+			h, null := joinKey(row, pk)
+			if null {
+				continue
+			}
+			for ci := index.first(h); ci >= 0; ci = index.next[ci] {
+				if joinKeysEqual(row, pk, children[ci], ck) {
+					kept = append(kept, row)
+					break
+				}
+			}
+		}
+		if len(kept) == 0 {
+			return false
+		}
+		tables[e.A] = kept
+	}
+	return len(tables[0]) > 0
+}
+
 // Restrict returns a copy of the fragment that also pushes `<col> IN
 // (keys)`, col being a schema column ordinal of the fragment's table — the
-// coordinator's semi-join reduction. keys must be non-empty literals. When
+// coordinator's semi-join reduction. The copy ships the same Cols. keys must be non-empty literals. When
 // col is the primary key and the fragment had no tighter pin, keys become
 // its PKValues, so partition pruning applies to the reduced fragment.
 func (f TableFragment) Restrict(schema *relational.Schema, col int, keys []relational.Value) TableFragment {
@@ -244,7 +375,7 @@ func (f TableFragment) Restrict(schema *relational.Schema, col int, keys []relat
 	}
 	out := f
 	out.Pushed = append(append(make([]Expr, 0, len(f.Pushed)+1), f.Pushed...), in)
-	out.Stmt = fragmentStmt(f.Ref, out.Pushed)
+	out.Stmt = fragmentStmt(schema, &out)
 	if col == ts.ColumnIndex(ts.PrimaryKey) && (f.PKValues == nil || len(keys) < len(f.PKValues)) {
 		out.PKValues = keys
 	}

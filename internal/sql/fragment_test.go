@@ -179,6 +179,57 @@ func TestFragmentRestrict(t *testing.T) {
 	}
 }
 
+// TestExistsFragments pins which join statements the coordinator decides
+// from join keys alone, and the key-only fragments it ships for them.
+func TestExistsFragments(t *testing.T) {
+	db := eqDB(t)
+	stmt := mustParse(t, `SELECT DISTINCT person.name FROM movie m
+		JOIN cast_info ON cast_info.movie_id = m.movie_id
+		JOIN person ON cast_info.person_id = person.person_id
+		WHERE m.title MATCH 'dark' AND cast_info.role = 'actor' ORDER BY person.name LIMIT 5`)
+	frags, edges, ok := ExistsFragments(db.Schema, stmt)
+	if !ok {
+		t.Fatal("an inner equi-join tree with pushed conjuncts was refused")
+	}
+	for i, want := range []string{
+		"SELECT m.movie_id FROM movie m WHERE (m.title MATCH 'dark')",
+		"SELECT cast_info.movie_id, cast_info.person_id FROM cast_info WHERE (cast_info.role = 'actor')",
+		"SELECT person.person_id FROM person",
+	} {
+		if got := frags[i].SQL(); got != want {
+			t.Errorf("fragment %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if len(edges) != 2 || frags[1].Pos(2) != 1 || frags[1].Pos(0) != -1 {
+		t.Errorf("edges %+v, cast_info positions %d %d", edges, frags[1].Pos(2), frags[1].Pos(0))
+	}
+	restricted := frags[2].Restrict(db.Schema, 0, []relational.Value{relational.Int(3)})
+	if got, want := restricted.SQL(), "SELECT person.person_id FROM person WHERE (person.person_id IN (3))"; got != want {
+		t.Errorf("Restrict dropped the key columns:\n got %s\nwant %s", got, want)
+	}
+
+	const join = " FROM movie JOIN cast_info ON cast_info.movie_id = movie.movie_id"
+	for _, src := range []string{
+		"SELECT movie.title FROM movie WHERE movie.movie_id = 3",
+		"SELECT movie.title FROM movie LEFT JOIN cast_info ON cast_info.movie_id = movie.movie_id",
+		"SELECT movie.title" + join + " AND cast_info.role = 'actor'",
+		"SELECT movie.title" + join + " AND cast_info.cast_id = movie.movie_id",
+		"SELECT movie.title" + join + " WHERE cast_info.cast_id < movie.movie_id",
+		"SELECT movie.title" + join + " WHERE 1 = 1",
+		"SELECT movie.title = 'x'" + join,
+		"SELECT COUNT(*)" + join,
+		"SELECT movie.title" + join + " GROUP BY movie.title",
+		"SELECT movie.title" + join + " ORDER BY COUNT(*)",
+		"SELECT movie.title" + join + " OFFSET 1",
+		"SELECT movie.title" + join + " LIMIT 0",
+		"SELECT movie.nosuch" + join,
+	} {
+		if _, _, ok := ExistsFragments(db.Schema, mustParse(t, src)); ok {
+			t.Errorf("%s: accepted, want the LIMIT 1 fallback", src)
+		}
+	}
+}
+
 // TestExecuteRowsMatchesReference feeds ExecuteRows the tables' own rows and
 // checks it reproduces the reference interpreter byte for byte — the
 // coordinator half must be a drop-in finish for gathered fragments.
