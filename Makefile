@@ -65,13 +65,16 @@ bench-compare:
 # join keys, random join shapes and predicates: the walk, the streaming
 # path and the reference interpreter must give one verdict) and the
 # statement text the plan cache keys on (parse → print → parse is stable,
-# dropping LIMIT removes exactly its clause, planning never panics).
+# dropping LIMIT removes exactly its clause, planning never panics) and
+# the client's decoding of a statistics response (arbitrary bytes never
+# panic; what decodes re-encodes to a frame that decodes the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzCompiledIn -fuzztime 10s -fuzzminimizetime 1x ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzExistsSemiJoin -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParsePrint -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzColumnStatsDecode -fuzztime 10s ./internal/sql
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

@@ -9,10 +9,10 @@
 // (with PruneEmpty validation) through a fresh engine, so the reported
 // secondary indexes, statistics snapshots and planner counters reflect
 // what production traffic builds. The stats section dumps the
-// per-table/per-column statistics the SQL planner estimates from
-// (distinct counts, most common values, histogram bounds) plus the
-// planner counters showing how many plans were join-reordered and how
-// many scans the range/IN/MATCH index paths served.
+// per-table/per-column statistics the SQL planner estimates from (row,
+// NULL and distinct counts, min..max) plus the planner counters showing
+// how many plans were join-reordered and how many scans the
+// range/IN/MATCH index paths served.
 //
 // Usage:
 //
@@ -161,7 +161,7 @@ func main() {
 
 		tbl := &eval.Table{
 			Title:   "column statistics (planner snapshots at current table versions)",
-			Headers: []string{"column", "rows", "nulls", "distinct", "min..max", "buckets", "freshness", "top MCVs"},
+			Headers: []string{"column", "rows", "nulls", "distinct", "min..max"},
 		}
 		for _, t := range db.Tables() {
 			for _, col := range t.Schema.Columns {
@@ -173,49 +173,31 @@ func main() {
 				if !cs.Min.IsNull() {
 					minMax = cs.Min.String() + ".." + cs.Max.String()
 				}
-				mcvs := make([]string, 0, 3)
-				for i, m := range cs.MCVs {
-					if i == 3 {
-						break
-					}
-					mcvs = append(mcvs, fmt.Sprintf("%s×%d", m.Value, m.Count))
-				}
-				mcvText := strings.Join(mcvs, " ")
-				if mcvText == "" {
-					mcvText = "-"
-				}
-				freshness := cs.Freshness
-				if freshness == "" {
-					freshness = "-"
-				}
 				tbl.AddRow(
 					t.Schema.Name+"."+col.Name,
 					fmt.Sprint(cs.Rows),
 					fmt.Sprint(cs.NullCount),
 					fmt.Sprint(cs.Distinct),
 					minMax,
-					fmt.Sprint(len(cs.Buckets)),
-					freshness,
-					mcvText,
 				)
 			}
 		}
 		fmt.Println(tbl)
 
 		// Incremental-maintenance counters: how the snapshots above were
-		// produced (delta folds vs full/sampled rebuilds) and how the
-		// sorted indexes absorbed writes (side-run inserts merged on read
-		// vs threshold-triggered rebuilds).
+		// produced (summaries built from the rows vs snapshots of an
+		// insert-maintained summary) and how the sorted indexes absorbed
+		// writes (side-run inserts merged on read vs threshold-triggered
+		// rebuilds).
 		m := db.MaintenanceStats()
 		mt := &eval.Table{
 			Title: "incremental maintenance (instance-wide counters)",
-			Headers: []string{"stats-incremental", "stats-full-rebuilds", "stats-sampled",
+			Headers: []string{"stats-snapshots", "stats-builds",
 				"side-inserts", "side-merges", "index-rebuilds"},
 		}
 		mt.AddRow(
 			fmt.Sprint(m.StatsIncrementalUpdates),
 			fmt.Sprint(m.StatsFullRebuilds),
-			fmt.Sprint(m.StatsSampledRebuilds),
 			fmt.Sprint(m.SortedIndexSideInserts),
 			fmt.Sprint(m.SortedIndexMerges),
 			fmt.Sprint(m.SortedIndexRebuilds),

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -50,18 +51,11 @@ func TestColumnStatsBasics(t *testing.T) {
 	if cs.NullFraction() != 37.0/400 {
 		t.Errorf("null fraction = %v, want 37/400", cs.NullFraction())
 	}
-	if len(cs.Buckets) == 0 {
-		t.Fatal("no histogram buckets")
-	}
-	total := 0
-	for _, b := range cs.Buckets {
-		total += b.Count
-	}
-	if total != 363 {
-		t.Errorf("histogram covers %d rows, want 363 non-NULL", total)
-	}
 }
 
+// TestColumnStatsMCVsOnSkew pins the uniform equality estimate: every
+// value in [Min, Max] is estimated at nonNull/Distinct rows, however
+// skewed the column is, and a value outside the range or NULL at none.
 func TestColumnStatsMCVsOnSkew(t *testing.T) {
 	tbl := statsTable(t)
 	cs, err := tbl.Stats("genre")
@@ -71,39 +65,21 @@ func TestColumnStatsMCVsOnSkew(t *testing.T) {
 	if cs.Distinct != 4 {
 		t.Fatalf("distinct genres = %d, want 4", cs.Distinct)
 	}
-	if len(cs.MCVs) != 4 {
-		t.Fatalf("MCVs = %v, want all 4 genres (every value repeats)", cs.MCVs)
+	for _, v := range []Value{String_("drama"), String_("noir"), String_("horror")} {
+		// drama holds 200 rows, noir 50, horror none: all read 400/4.
+		if got := cs.EstimateEq(v); got != 100 {
+			t.Errorf("EstimateEq(%v) = %d, want the uniform 100", v, got)
+		}
 	}
-	// drama occurs 4/8 of the time: its MCV entry must be exact and first.
-	if Compare(cs.MCVs[0].Value, String_("drama")) != 0 || cs.MCVs[0].Count != 200 {
-		t.Errorf("top MCV = %v, want drama x200", cs.MCVs[0])
+	for _, v := range []Value{String_("action"), String_("zombie"), Null()} {
+		if got := cs.EstimateEq(v); got != 0 {
+			t.Errorf("EstimateEq(%v) = %d, want 0 outside [comedy, western]", v, got)
+		}
 	}
-	if got := cs.EstimateEq(String_("drama")); got != 200 {
-		t.Errorf("EstimateEq(drama) = %d, want exact 200", got)
-	}
-	if got := cs.EstimateEq(String_("horror")); got != 0 {
-		t.Errorf("EstimateEq(absent) = %d, want 0", got)
-	}
-}
-
-func TestColumnStatsRangeEstimate(t *testing.T) {
-	tbl := statsTable(t)
-	cs, err := tbl.Stats("year")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact truth: 1970..1979 inclusive covers 10 of 50 year values; years
-	// cycle uniformly over the non-NULL rows.
-	got := cs.EstimateRange(Int(1970), Int(1979), true, true)
-	want := 73 // (10/50) * 363
-	if got < want/2 || got > want*2 {
-		t.Errorf("EstimateRange(1970..1979) = %d, want within 2x of %d", got, want)
-	}
-	if got := cs.EstimateRange(Null(), Null(), true, true); got != 363 {
-		t.Errorf("unbounded range = %d, want every non-NULL row (363)", got)
-	}
-	if got := cs.EstimateRange(Int(3000), Null(), true, true); got != 0 {
-		t.Errorf("range above max = %d, want 0", got)
+	// A value never estimates below one row while it is in range.
+	sparse := &ColumnStats{Rows: 3, Distinct: 3, Min: Int(1), Max: Int(9)}
+	if got := sparse.EstimateEq(Int(5)); got != 1 {
+		t.Errorf("EstimateEq on a unique column = %d, want 1", got)
 	}
 }
 
@@ -281,62 +257,92 @@ func TestSortedIndexSideRun(t *testing.T) {
 	}
 }
 
-// TestStatsIncrementalDelta: within the staleness budget Stats folds the
-// insert delta into the base snapshot instead of rebuilding — exact
-// rows/nulls/min/max, labeled budget-stale — and a budget-exceeding burst
-// forces a fresh full rebuild.
+// TestStatsIncrementalDelta: after random inserts (NULLs, INT and FLOAT
+// literals into both numeric column types, repeated values) the
+// insert-maintained snapshot equals, field for field, the one a fresh
+// table holding the same rows builds from scratch — whether Distinct comes
+// from the summary's key set or, once a hash index exists, from the index
+// — and no snapshot after the first rereads the rows.
 func TestStatsIncrementalDelta(t *testing.T) {
-	tbl := statsTable(t)
-	cs0, err := tbl.Stats("year")
-	if err != nil {
+	ts := &TableSchema{
+		Name: "x",
+		Columns: []Column{
+			{Name: "id", Type: TypeInt, NotNull: true},
+			{Name: "i", Type: TypeInt},
+			{Name: "f", Type: TypeFloat},
+			{Name: "s", Type: TypeString},
+		},
+		PrimaryKey: "id",
+	}
+	if err := ts.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cs0.Freshness != StatsFresh {
-		t.Errorf("initial freshness = %q, want %q", cs0.Freshness, StatsFresh)
+	rng := rand.New(rand.NewSource(5))
+	num := func() Value {
+		switch rng.Intn(5) {
+		case 0:
+			return Null()
+		case 1:
+			return Float(float64(rng.Intn(40)) / 2) // halves and whole floats
+		default:
+			return Int(int64(rng.Intn(30) - 10))
+		}
 	}
-	builds := tbl.StatsBuildCount()
-	for i := 0; i < 5; i++ {
-		tbl.MustInsert(Row{Int(int64(5000 + i)), Int(int64(2200 + i)), String_("scifi")})
+	row := func(id int) Row {
+		s := Value(String_(fmt.Sprintf("w%d", rng.Intn(15))))
+		if rng.Intn(6) == 0 {
+			s = Null()
+		}
+		return Row{Int(int64(id)), num(), num(), s}
 	}
-	cs, err := tbl.Stats("year")
-	if err != nil {
-		t.Fatal(err)
+	cols := []string{"id", "i", "f", "s"}
+	tbl := NewTable(ts)
+	var all []Row
+	for id := 0; id < 50; id++ {
+		all = append(all, row(id))
+		tbl.MustInsert(all[id])
 	}
-	if cs.Freshness != StatsBudgetStale {
-		t.Errorf("freshness = %q, want %q", cs.Freshness, StatsBudgetStale)
+	for _, c := range cols {
+		if _, err := tbl.Stats(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tbl.StatsBuildCount() != builds {
-		t.Errorf("stats builds = %d, want %d (delta fold, not rebuild)", tbl.StatsBuildCount(), builds)
+	builds := tbl.MaintenanceStats().StatsFullRebuilds
+	for round := 0; round < 20; round++ {
+		for n := 1 + rng.Intn(10); n > 0; n-- {
+			r := row(len(all))
+			all = append(all, r)
+			tbl.MustInsert(r)
+		}
+		if round == 10 {
+			// From here on Distinct of i reads the hash index.
+			if _, err := tbl.EnsureIndex("i"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctl := NewTable(ts)
+		for _, r := range all {
+			ctl.MustInsert(r)
+		}
+		for _, c := range cols {
+			got, err := tbl.Stats(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ctl.Stats(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("round %d column %s: maintained %+v, from scratch %+v", round, c, *got, *want)
+			}
+		}
 	}
-	if cs.Rows != cs0.Rows+5 || cs.NullCount != cs0.NullCount {
-		t.Errorf("rows/nulls = %d/%d, want %d/%d", cs.Rows, cs.NullCount, cs0.Rows+5, cs0.NullCount)
+	if got := tbl.MaintenanceStats().StatsFullRebuilds; got != builds {
+		t.Errorf("stats builds = %d, want %d (inserts never force a rebuild)", got, builds)
 	}
-	if Compare(cs.Max, Int(2204)) != 0 || Compare(cs.Min, cs0.Min) != 0 {
-		t.Errorf("min/max = %v/%v, want %v/2204", cs.Min, cs.Max, cs0.Min)
-	}
-	if cs.Distinct != cs0.Distinct+5 {
-		t.Errorf("distinct = %d, want %d", cs.Distinct, cs0.Distinct+5)
-	}
-	if got := tbl.MaintenanceStats().StatsIncrementalUpdates; got == 0 {
-		t.Error("incremental update not counted")
-	}
-	// Past the budget the next Stats call rebuilds from scratch.
-	budget := statsStalenessInserts
-	if f := int(statsStalenessFraction * float64(cs.Rows)); f > budget {
-		budget = f
-	}
-	for i := 0; i <= budget; i++ {
-		tbl.MustInsert(Row{Int(int64(6000 + i)), Int(int64(1960 + i%50)), String_("drama")})
-	}
-	cs2, err := tbl.Stats("year")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs2.Freshness != StatsFresh {
-		t.Errorf("post-budget freshness = %q, want %q", cs2.Freshness, StatsFresh)
-	}
-	if tbl.StatsBuildCount() != builds+1 {
-		t.Errorf("stats builds = %d, want %d (budget exceeded forces rebuild)", tbl.StatsBuildCount(), builds+1)
+	if got := tbl.MaintenanceStats().StatsIncrementalUpdates; got != 20*len(cols) {
+		t.Errorf("snapshots after inserts = %d, want %d", got, 20*len(cols))
 	}
 }
 
@@ -398,8 +404,7 @@ func TestStatsConcurrentWithInsert(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	// After the dust settles a final snapshot must be exact on the fields
-	// the delta maintains exactly.
+	// After the dust settles the final snapshot counts every row.
 	cs, err := tbl.Stats("year")
 	if err != nil {
 		t.Fatal(err)
@@ -436,9 +441,7 @@ func TestStatsConcurrentBuild(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if got := tbl.StatsBuildCount(); got != 2 {
+	if got := tbl.MaintenanceStats().StatsFullRebuilds; got != 2 {
 		t.Errorf("stats builds = %d, want 2 (one per column, no duplicate builds)", got)
 	}
 }
-
-var _ = fmt.Sprint // keep fmt available for debugging edits

@@ -1,36 +1,20 @@
 package relational
 
-import "sort"
-
 // MergeColumnStats combines per-partition statistics snapshots of one
 // column into a single summary describing the union of the partitions —
 // the coordinator-side half of statistics pushdown: shards ship their
-// ColumnStats (a few dozen values) instead of rows, and the planner's
+// ColumnStats (a handful of values) instead of rows, and the planner's
 // cardinality estimator keeps working over the merged view.
 //
-// Exact fields: Rows, NullCount, Min and Max are lossless (sums and
-// extrema commute with partitioning). Approximate fields: Distinct is the
-// summed per-partition count clamped to its information-theoretic bounds —
-// at least the largest partition's count, at most the total non-NULL
-// rows — because values shared between partitions cannot be seen from the
-// summaries; MCV counts are the sums of the per-partition counts (lower
-// bounds, since a value may fall below a partition's MCV cutoff there);
-// the histogram is the union of the partition buckets re-cut to the
-// standard bucket budget, so bucket boundaries remain real column values
-// but per-bucket distinct counts may double-count values spanning
-// partitions.
+// Rows, NullCount, Min and Max are exact (sums and extrema commute with
+// partitioning). Distinct is the summed per-partition count clamped to
+// its information-theoretic bounds — at least the largest partition's
+// count, at most the total non-NULL rows — because values shared between
+// partitions cannot be seen from the summaries.
 //
 // The merged Version is the sum of the partition versions: any partition
 // mutation changes it, so coordinators can cache merged snapshots against
 // it the same way single-table consumers cache against Table.Version.
-//
-// Freshness propagates pessimistically: the merged snapshot carries the
-// worst label among the partitions (sampled > budget-stale > fresh), so a
-// coordinator plan built over one budget-stale shard reports as
-// budget-stale. Partitions that crossed the wire carry "" and read as
-// fresh. Incremental per-shard maintenance thus flows straight through
-// the scatter-gather merge: shards fold their deltas locally and the
-// coordinator never forces an N-shard full rebuild.
 func MergeColumnStats(parts []*ColumnStats) *ColumnStats {
 	if len(parts) == 0 {
 		return nil
@@ -39,28 +23,13 @@ func MergeColumnStats(parts []*ColumnStats) *ColumnStats {
 		return parts[0]
 	}
 	out := &ColumnStats{Column: parts[0].Column}
-	rank, labeled := 0, false
-	for _, p := range parts {
-		if p.Freshness != "" {
-			labeled = true
-		}
-		if r := freshnessRank(p.Freshness); r > rank {
-			rank = r
-		}
-	}
-	if labeled {
-		out.Freshness = freshnessRankName(rank)
-	}
 	maxDistinct := 0
-	sumDistinct := 0
 	for _, p := range parts {
 		out.Version += p.Version
 		out.Rows += p.Rows
 		out.NullCount += p.NullCount
-		sumDistinct += p.Distinct
-		if p.Distinct > maxDistinct {
-			maxDistinct = p.Distinct
-		}
+		out.Distinct += p.Distinct
+		maxDistinct = max(maxDistinct, p.Distinct)
 		if p.Rows-p.NullCount == 0 {
 			continue // empty partition carries no Min/Max
 		}
@@ -71,103 +40,6 @@ func MergeColumnStats(parts []*ColumnStats) *ColumnStats {
 			out.Max = p.Max
 		}
 	}
-	nonNull := out.Rows - out.NullCount
-	out.Distinct = sumDistinct
-	if out.Distinct > nonNull {
-		out.Distinct = nonNull
-	}
-	if out.Distinct < maxDistinct {
-		out.Distinct = maxDistinct
-	}
-
-	out.MCVs = mergeMCVs(parts)
-	for _, m := range out.MCVs {
-		out.mcvTotal += m.Count
-	}
-	out.Buckets = mergeBuckets(parts, nonNull)
-	return out
-}
-
-// mergeMCVs sums per-partition most-common-value counts by value and keeps
-// the heaviest StatsMaxMCVs, ordered by descending count with the value key
-// as a deterministic tie-break.
-func mergeMCVs(parts []*ColumnStats) []MCV {
-	byKey := map[string]*MCV{}
-	var order []string
-	for _, p := range parts {
-		for _, m := range p.MCVs {
-			k := m.Value.Key()
-			if e, ok := byKey[k]; ok {
-				e.Count += m.Count
-				continue
-			}
-			byKey[k] = &MCV{Value: m.Value, Count: m.Count}
-			order = append(order, k)
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := byKey[order[i]], byKey[order[j]]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		return order[i] < order[j]
-	})
-	if len(order) > StatsMaxMCVs {
-		order = order[:StatsMaxMCVs]
-	}
-	out := make([]MCV, len(order))
-	for i, k := range order {
-		out[i] = *byKey[k]
-	}
-	return out
-}
-
-// mergeBuckets unions the partition histograms: every partition bucket
-// keeps its (Upper, Count, Distinct) weight, the union is sorted by upper
-// bound (equal bounds coalesce), and adjacent buckets are re-cut to the
-// StatsHistogramBuckets budget by accumulated depth. Bucket uppers stay
-// real column values, so EstimateRange's interpolation walk remains valid.
-func mergeBuckets(parts []*ColumnStats, nonNull int) []Bucket {
-	var all []Bucket
-	for _, p := range parts {
-		all = append(all, p.Buckets...)
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	sort.SliceStable(all, func(i, j int) bool { return Compare(all[i].Upper, all[j].Upper) < 0 })
-	coalesced := all[:1:1]
-	for _, b := range all[1:] {
-		last := &coalesced[len(coalesced)-1]
-		if Compare(b.Upper, last.Upper) == 0 {
-			last.Count += b.Count
-			if b.Distinct > last.Distinct {
-				last.Distinct = b.Distinct // same upper value is shared, not added
-			}
-			continue
-		}
-		coalesced = append(coalesced, b)
-	}
-	if len(coalesced) <= StatsHistogramBuckets {
-		return coalesced
-	}
-	target := (nonNull + StatsHistogramBuckets - 1) / StatsHistogramBuckets
-	var out []Bucket
-	acc := Bucket{}
-	for _, b := range coalesced {
-		acc.Count += b.Count
-		acc.Distinct += b.Distinct
-		acc.Upper = b.Upper
-		if acc.Count >= target {
-			out = append(out, acc)
-			acc = Bucket{}
-		}
-	}
-	if acc.Count > 0 {
-		out = append(out, acc)
-	}
+	out.Distinct = max(min(out.Distinct, out.Rows-out.NullCount), maxDistinct)
 	return out
 }

@@ -34,13 +34,13 @@ func (r Row) Clone() Row {
 // Index invalidation rules: an equality index built by EnsureIndex is
 // maintained incrementally by Insert (the new ordinal is appended to its
 // posting), so indexes built mid-population stay correct. Insert keeps
-// sorted indexes current through a sorted side-run and accrues per-column
-// statistics deltas (see maintain.go); statistics snapshots are
-// version-checked, so reads after writes avoid full rebuilds. Every
-// Insert also bumps the table's Version; consumers that cache derived
-// state outside the table (the SQL planner's plan cache, the engine's
-// query cache) key it on the version and so observe mutations as cache
-// misses rather than stale reads.
+// sorted indexes current through a sorted side-run and folds each cell
+// into its column's statistics summary (see maintain.go); statistics
+// snapshots are version-checked, so reads after writes avoid full
+// rebuilds. Every Insert also bumps the table's Version; consumers that
+// cache derived state outside the table (the SQL planner's plan cache,
+// the engine's query cache) key it on the version and so observe
+// mutations as cache misses rather than stale reads.
 type Table struct {
 	Schema *TableSchema
 
@@ -69,14 +69,12 @@ type Table struct {
 	sortedBuilds  int
 	sortedMerges  int // read-time main+side merges (see RangeOrdinals)
 	sideInserts   int // inserts absorbed into side-runs
-	// colStats caches per-column statistics snapshots, version-checked the
-	// same way (see Stats in stats.go); statsMaint holds the incremental
-	// maintenance state per column (see maintain.go).
-	colStats         map[int]*ColumnStats
-	statsBuilds      int
-	statsSampled     int
-	statsIncremental int
-	statsMaint       map[int]*colMaint
+	// summaries holds the insert-maintained statistics of each column
+	// Stats has been asked for (see stats.go); statsBuilds counts their
+	// builds from the rows, statsSnapshots their snapshots after inserts.
+	summaries      map[int]*colSummary
+	statsBuilds    int
+	statsSnapshots int
 }
 
 // sortedIndex holds a column's non-NULL row ordinals ordered by
@@ -168,8 +166,8 @@ func (t *Table) Insert(row Row) error {
 // maintainInsertLocked absorbs one inserted row into the incremental
 // maintenance structures: each sorted index takes the row into its
 // side-run (collapsing when the run outgrows sortedSideRunThreshold), and
-// each column with built statistics accrues the new cell in its delta.
-// Caller holds idxMu.
+// each column's statistics summary folds in the new cell. Caller holds
+// idxMu.
 func (t *Table) maintainInsertLocked(row Row, ord int) {
 	for colOrd, si := range t.sortedIndexes {
 		v := row[colOrd]
@@ -187,8 +185,8 @@ func (t *Table) maintainInsertLocked(row Row, ord int) {
 			t.collapseSideLocked(colOrd, si)
 		}
 	}
-	for colOrd, m := range t.statsMaint {
-		m.delta.note(row[colOrd])
+	for colOrd, s := range t.summaries {
+		s.note(row[colOrd])
 	}
 }
 
@@ -570,8 +568,7 @@ func (t *Table) DropIndexes() {
 	defer t.idxMu.Unlock()
 	t.colIndexes = make(map[int]map[string][]int)
 	t.sortedIndexes = nil
-	t.colStats = nil
-	t.statsMaint = nil
+	t.summaries = nil
 	t.version.Add(1)
 }
 

@@ -50,12 +50,13 @@
 // joined rows. Other join probes run Execute under LIMIT 1.
 //
 // Statistics stay pushdown-friendly too: ColumnStatistics merges the
-// per-shard snapshots (relational.MergeColumnStats) instead of shipping
-// rows, giving engine-level consumers (core.Engine.ColumnStatistics,
-// operator tooling, a future coordinator-side join planner) a whole-data
-// view without row movement; each shard's own planner meanwhile keeps
-// using its local statistics for fragment access paths. The merged row
-// counts size the semi-join reduction; Execute's coordinator join step
+// per-shard snapshots (relational.MergeColumnStats: row, NULL and
+// distinct counts and min/max, a few values per shard) instead of
+// shipping rows, giving engine-level consumers
+// (core.Engine.ColumnStatistics, operator tooling) a whole-data view
+// without row movement; each shard's own planner meanwhile keeps using
+// its local statistics for fragment access paths. The merged row counts
+// size the semi-join reduction; Execute's coordinator join step
 // itself is still the reference interpreter — it joins gathered fragments
 // in written order. AttributeScore/EdgeDistance combine per-shard relevance
 // evidence (max, respectively row-agnostic mean) — approximate where

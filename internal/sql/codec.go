@@ -174,8 +174,8 @@ func DecodeColumns(b []byte) ([]string, int, error) {
 }
 
 // AppendColumnStats appends a per-column statistics snapshot — the payload
-// of the wire protocol's statistics response. Only exported fields travel;
-// the decoder rehydrates derived state.
+// of the wire protocol's statistics response: the column name, version,
+// row, NULL and distinct counts, then Min and Max.
 func AppendColumnStats(dst []byte, cs *relational.ColumnStats) []byte {
 	dst = appendString(dst, cs.Column)
 	dst = binary.AppendUvarint(dst, cs.Version)
@@ -183,23 +183,11 @@ func AppendColumnStats(dst []byte, cs *relational.ColumnStats) []byte {
 	dst = binary.AppendVarint(dst, int64(cs.NullCount))
 	dst = binary.AppendVarint(dst, int64(cs.Distinct))
 	dst = AppendValue(dst, cs.Min)
-	dst = AppendValue(dst, cs.Max)
-	dst = binary.AppendUvarint(dst, uint64(len(cs.MCVs)))
-	for _, m := range cs.MCVs {
-		dst = AppendValue(dst, m.Value)
-		dst = binary.AppendVarint(dst, int64(m.Count))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(cs.Buckets)))
-	for _, bk := range cs.Buckets {
-		dst = AppendValue(dst, bk.Upper)
-		dst = binary.AppendVarint(dst, int64(bk.Count))
-		dst = binary.AppendVarint(dst, int64(bk.Distinct))
-	}
-	return dst
+	return AppendValue(dst, cs.Max)
 }
 
-// DecodeColumnStats decodes a statistics snapshot, rehydrating derived
-// fields, and reports the bytes consumed.
+// DecodeColumnStats decodes a statistics snapshot and reports the bytes
+// consumed.
 func DecodeColumnStats(b []byte) (*relational.ColumnStats, int, error) {
 	cs := &relational.ColumnStats{}
 	col, off, err := decodeString(b)
@@ -230,49 +218,5 @@ func DecodeColumnStats(b []byte) (*relational.ColumnStats, int, error) {
 		*p = v
 		off += vsz
 	}
-	nm, sz := binary.Uvarint(b[off:])
-	if sz <= 0 || nm > uint64(len(b)-off-sz) {
-		return nil, 0, fmt.Errorf("sql: malformed stats MCV list")
-	}
-	off += sz
-	cs.MCVs = make([]relational.MCV, nm)
-	for i := range cs.MCVs {
-		v, vsz, verr := DecodeValue(b[off:])
-		if verr != nil {
-			return nil, 0, verr
-		}
-		off += vsz
-		c, csz := binary.Varint(b[off:])
-		if csz <= 0 {
-			return nil, 0, fmt.Errorf("sql: truncated MCV count")
-		}
-		off += csz
-		cs.MCVs[i] = relational.MCV{Value: v, Count: int(c)}
-	}
-	nb, sz := binary.Uvarint(b[off:])
-	if sz <= 0 || nb > uint64(len(b)-off-sz) {
-		return nil, 0, fmt.Errorf("sql: malformed stats histogram")
-	}
-	off += sz
-	cs.Buckets = make([]relational.Bucket, nb)
-	for i := range cs.Buckets {
-		v, vsz, verr := DecodeValue(b[off:])
-		if verr != nil {
-			return nil, 0, verr
-		}
-		off += vsz
-		c, csz := binary.Varint(b[off:])
-		if csz <= 0 {
-			return nil, 0, fmt.Errorf("sql: truncated bucket count")
-		}
-		off += csz
-		d, dsz := binary.Varint(b[off:])
-		if dsz <= 0 {
-			return nil, 0, fmt.Errorf("sql: truncated bucket distinct")
-		}
-		off += dsz
-		cs.Buckets[i] = relational.Bucket{Upper: v, Count: int(c), Distinct: int(d)}
-	}
-	cs.Rehydrate()
 	return cs, off, nil
 }

@@ -50,16 +50,16 @@
 //
 // # Cardinality estimation
 //
-// Estimates come from per-column statistics (relational.ColumnStats:
-// distinct count, min/max, null fraction, an equi-depth histogram and a
-// most-common-values list), collected lazily per table version — a
-// snapshot built before an Insert is rebuilt, never served stale. Index
-// probes are exact at plan time (the ordinals are captured); the remaining
-// pushed conjuncts scale the estimate by statistics-based selectivities
-// (estimate.go): equality via MCV-or-uniform, ranges via histogram
-// interpolation, IN as the sum of member equalities, IS NULL from the
-// null fraction, AND/OR/NOT composed from their operands, and pattern
-// operators (LIKE, MATCH) by a fixed default. Equi-join steps use the
+// Estimates come from per-column statistics (relational.ColumnStats: row,
+// NULL and distinct counts, min/max), built on a column's first use and
+// kept exact by every Insert — a snapshot taken before an Insert is never
+// served after it. Index probes are exact at plan time (the ordinals are
+// captured); the remaining pushed conjuncts scale the estimate by
+// statistics-based selectivities (estimate.go): equality as nonNull /
+// Distinct rows (none outside [Min, Max]), IN as the sum of member
+// equalities, IS NULL from the null fraction, AND/OR/NOT composed from
+// their operands, and ranges and pattern operators (LIKE, MATCH) by fixed
+// defaults. Equi-join steps use the
 // textbook 1/max(V(l), V(r)) over the key columns' distinct counts. The
 // estimates drive the join-order search and build-side selection, which
 // is what makes them matter on skewed data — the pre-statistics planner
@@ -204,13 +204,12 @@
 // query cache validates its entries against the same per-table counters
 // (wrapper.TableVersioner) instead of a global epoch.
 //
-// Equality indexes are maintained incrementally by Insert; sorted
-// indexes, MATCH posting indexes and statistics snapshots are
-// version-checked on first use after a mutation and either delta-updated
-// within the staleness budget or rebuilt (relational's incremental
-// maintenance; the planner tolerates budget-stale histograms — the scan
-// annotates its estimate provenance — but never serves stale index
-// postings). Planned queries are immutable after construction
+// Equality indexes and column statistics are maintained exactly by
+// Insert; sorted indexes, MATCH posting indexes and statistics snapshots
+// are version-checked on first use after a mutation and either updated
+// from what Insert maintained or rebuilt (relational's incremental
+// maintenance), so the planner never reads stale statistics or index
+// postings. Planned queries are immutable after construction
 // (executions record actual cardinalities into per-run copies), so one
 // cached plan serves concurrent Execute/Exists calls.
 //

@@ -2,17 +2,18 @@ package sql
 
 import "repro/internal/relational"
 
-// Cardinality estimation from relational.ColumnStats. This replaces the
-// pre-statistics planner's halving-per-predicate heuristic: equality,
-// range, IN-list and nullity conjuncts are estimated from per-column
-// distinct counts, MCV lists and histograms, so filtered-scan and join
-// estimates track skewed data instead of assuming every predicate keeps
-// half the rows.
+// Cardinality estimation from relational.ColumnStats: row counts, NULL
+// counts, distinct counts and extrema. Equality and IN-list conjuncts
+// keep nonNull/Distinct rows per literal (none outside [Min, Max]),
+// nullity conjuncts the NULL fraction, and equi-joins 1/max(V(l), V(r)) —
+// the Selinger-style costing that the engine's conjunctive MATCH filters
+// over equi-join trees need. Range conjuncts, like every other shape the
+// statistics cannot see through, take a default selectivity.
 
 // Default selectivities for predicate shapes the statistics cannot see
 // through: pattern operators inspect text content and everything else
-// (arithmetic comparisons between columns, OR over unestimable branches)
-// gets the classic one-third guess.
+// (ranges, arithmetic comparisons between columns, OR over unestimable
+// branches) gets the classic one-third guess.
 const (
 	defaultPatternSelectivity = 0.1
 	defaultSelectivity        = 1.0 / 3
@@ -90,27 +91,6 @@ func predSelectivity(t *relational.Table, local *relation, c Expr) float64 {
 				return clampSel(1 - cs.NullFraction() - eq)
 			}
 			return clampSel(eq)
-		case OpLt, OpLe, OpGt, OpGe:
-			ord, v, op, ok := localRangeLiteral(local, x)
-			if !ok {
-				return defaultSelectivity
-			}
-			cs := statsFor(t, ord)
-			if cs == nil {
-				return defaultSelectivity
-			}
-			var est int
-			switch op {
-			case OpLt:
-				est = cs.EstimateRange(relational.Null(), v, true, false)
-			case OpLe:
-				est = cs.EstimateRange(relational.Null(), v, true, true)
-			case OpGt:
-				est = cs.EstimateRange(v, relational.Null(), false, true)
-			case OpGe:
-				est = cs.EstimateRange(v, relational.Null(), true, true)
-			}
-			return clampSel(float64(est) / rows)
 		case OpLike, OpMatch:
 			return defaultPatternSelectivity
 		}

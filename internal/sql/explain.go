@@ -145,11 +145,9 @@ func refOf(table, binding string) TableRef {
 // scanLine renders one base-table access: full scans report the real table
 // size, index probes the probe description with the matched-row estimate;
 // pushed-down predicates are shown as a scan-level FILTER. After execution
-// the actual emitted row count follows the estimate, a full scan that the
-// other side of its hash join narrowed says so ([narrowed via <column>
-// index]), and when the estimate was costed from column statistics their
-// freshness is annotated ([stats: fresh|budget-stale|sampled]) so estimate
-// drift under write traffic is diagnosable.
+// the actual emitted row count follows the estimate, and a full scan that
+// the other side of its hash join narrowed says so ([narrowed via <column>
+// index]).
 func scanLine(db *relational.Database, sp ScanPlan) string {
 	tr := refOf(sp.Table, sp.Binding)
 	var s string
@@ -173,9 +171,6 @@ func scanLine(db *relational.Database, sp ScanPlan) string {
 	}
 	if sp.NarrowedVia != "" {
 		s += " [narrowed via " + sp.NarrowedVia + " index]"
-	}
-	if sp.StatsFreshness != "" {
-		s += " [stats: " + sp.StatsFreshness + "]"
 	}
 	return s
 }

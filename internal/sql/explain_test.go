@@ -108,53 +108,69 @@ func TestExplainRowCounts(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeStatsFreshness pins the estimate-provenance rendering:
-// a scan costed from freshly built statistics is annotated fresh, a scan
-// costed after an in-budget insert is annotated budget-stale (the delta
-// path served the estimate), and a scan over a sampled rebuild says so.
+// TestExplainAnalyzeStatsFreshness pins that the estimates ExplainAnalyze
+// reports follow inserts exactly: after rows land in a table whose
+// statistics are already built, the analyzed plan — scan and join
+// estimates included — is the one a database that held those rows before
+// any statistics were built renders, and the movie scan's estimate moves
+// with the new NULLs and repeated values.
 func TestExplainAnalyzeStatsFreshness(t *testing.T) {
-	db := testDB(t)
-	// No index serves <>, so the scan stays full and is costed from the
-	// column's statistics at every table size.
-	stmt, err := Parse("SELECT title FROM movie WHERE year <> 1990")
+	// No index serves <>, so the movie scan stays full and is costed from
+	// the year column's statistics.
+	stmt, err := Parse(`SELECT movie.title, cast_info.role FROM movie
+		JOIN cast_info ON movie.movie_id = cast_info.movie_id WHERE movie.year <> 1990`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyze := func() string {
+	analyze := func(db *relational.Database) (string, int) {
 		t.Helper()
-		plan, err := ExplainAnalyze(db, stmt)
+		text, err := ExplainAnalyze(db, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return plan
+		res, err := Execute(db, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range res.Plan.Scans {
+			if sp.Table == "movie" {
+				return text, sp.EstRows
+			}
+		}
+		t.Fatalf("no movie scan in\n%s", text)
+		return "", 0
+	}
+	I, S := relational.Int, relational.String_
+	added := []relational.Row{
+		{I(5), S("repeat one"), I(1990), relational.Null()},
+		{I(6), S("no year"), relational.Null(), relational.Null()},
+		{I(7), S("repeat two"), I(1990), relational.Null()},
 	}
 
-	if plan := analyze(); !strings.Contains(plan, "[stats: fresh]") {
-		t.Errorf("first analyze should cost from fresh statistics:\n%s", plan)
+	db := testDB(t)
+	if _, est := analyze(db); est != 3 {
+		// 4 rows, 1 NULL year, 1990 below every year: 4 * (1 - 1/4).
+		t.Errorf("movie estimate before the inserts = %d, want 3", est)
 	}
-
-	// One in-budget insert: the next plan re-consults statistics (the
-	// table version moved), the delta path serves them, and the scan
-	// reports the estimate as budget-stale.
-	I, F, S := relational.Int, relational.Float, relational.String_
-	if err := db.Insert("movie", relational.Row{I(99), S("delta movie"), I(2020), F(6.0)}); err != nil {
-		t.Fatal(err)
-	}
-	if plan := analyze(); !strings.Contains(plan, "[stats: budget-stale]") {
-		t.Errorf("post-insert analyze should report budget-stale statistics:\n%s", plan)
-	}
-
-	// Grow the table to the size past which relational samples its
-	// statistics (65 536 rows), so the rebuild triggered by dropping the
-	// cached state is a sampled one.
-	for id := int64(100); db.Table("movie").Len() < 1<<16; id++ {
-		if err := db.Insert("movie", relational.Row{I(id), S("filler"), I(1980 + id%40), F(5.0)}); err != nil {
+	for _, r := range added {
+		if err := db.Insert("movie", r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db.Table("movie").DropIndexes()
-	if plan := analyze(); !strings.Contains(plan, "[stats: sampled]") {
-		t.Errorf("analyze over a sampled rebuild should say so:\n%s", plan)
+	got, est := analyze(db)
+	// 7 rows, 2 NULL years, 1990 one of 4 years over 5 rows: 7 * (1 - 2/7 - 1/7).
+	if est != 4 {
+		t.Errorf("movie estimate after the inserts = %d, want 4", est)
+	}
+
+	scratch := testDB(t)
+	for _, r := range added {
+		if err := scratch.Insert("movie", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, _ := analyze(scratch); got != want {
+		t.Errorf("analyzed plan after inserts:\n%s\nwant, as built from scratch:\n%s", got, want)
 	}
 }
 

@@ -60,11 +60,6 @@ type ScanPlan struct {
 	Pushed     []string
 	EstRows    int
 	ActualRows int
-	// StatsFreshness labels the statistics the estimate was costed from:
-	// relational.StatsFresh, StatsBudgetStale or StatsSampled, or "" when
-	// no column statistics were consulted for this table. ExplainAnalyze
-	// renders it so estimate drift under write traffic is diagnosable.
-	StatsFreshness string
 	// NarrowedVia names the column whose index narrowed this full scan in
 	// the execution ActualRows describes ("" when it read every row, and
 	// always "" in plans that were not executed).
@@ -215,9 +210,6 @@ type scanNode struct {
 	// filters never mix per scan).
 	vec   []colPred
 	vecOK bool
-	// freshness records what kind of statistics (fresh / budget-stale /
-	// sampled) est was costed from; "" when none were consulted.
-	freshness string
 }
 
 // joinStep is one planned join of the accumulated left relation with a
@@ -458,24 +450,13 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 }
 
 // seal completes a plan whose joins are placed: it compiles the scans'
-// filters, stamps their statistics freshness, builds the join
-// tree Exists walks and freezes the introspectable plan.
+// filters, builds the join tree Exists walks and freezes the
+// introspectable plan.
 func (p *plannedQuery) seal(stmt *SelectStmt, nodes []*scanNode, tables []*relational.Table) *plannedQuery {
 	p.compileVec()
-	captureStatsFreshness(nodes, tables)
 	p.semi = newExistsPlan(p, stmt, nodes, tables)
 	p.plan = p.describe()
 	return p
-}
-
-// captureStatsFreshness stamps each scan node with the freshness of the
-// statistics its table currently caches — the snapshots estimation just
-// consulted — so the frozen plan can report what its estimates were built
-// from.
-func captureStatsFreshness(nodes []*scanNode, tables []*relational.Table) {
-	for i, n := range nodes {
-		n.freshness = tables[i].StatsFreshnessSummary()
-	}
 }
 
 // tableFor returns the relational table backing a scan node.
@@ -857,12 +838,11 @@ func (p *plannedQuery) describe() *QueryPlan {
 	}
 	for _, n := range nodes {
 		sp := ScanPlan{
-			Table:          n.tr.Table,
-			Binding:        n.tr.Binding(),
-			Access:         n.access,
-			EstRows:        n.est,
-			ActualRows:     -1,
-			StatsFreshness: n.freshness,
+			Table:      n.tr.Table,
+			Binding:    n.tr.Binding(),
+			Access:     n.access,
+			EstRows:    n.est,
+			ActualRows: -1,
 		}
 		if n.access != AccessFullScan {
 			sp.IndexColumn = n.idxCol

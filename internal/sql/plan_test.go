@@ -424,8 +424,8 @@ func TestPlanMatchPostings(t *testing.T) {
 	}
 }
 
-// TestPlanStatsEstimates: the estimator must see skew — the dominant year
-// estimates high (MCV hit), a rare year low, and both far from the old
+// TestPlanStatsEstimates: index probes are exact at plan time, so the
+// dominant year estimates high and a rare year low, both far from the old
 // halving heuristic's len/2.
 func TestPlanStatsEstimates(t *testing.T) {
 	db := bigDB(t)
@@ -442,7 +442,7 @@ func TestPlanStatsEstimates(t *testing.T) {
 	}
 	// Full-scan estimate on a non-indexed-worthy predicate shape: genre MATCH
 	// keeps the scan but the estimate comes from the pattern default, and a
-	// pushed genre equality consults the MCV list.
+	// pushed genre equality takes the uniform nonNull/Distinct share.
 	qp := planFor(t, db, "SELECT title FROM movie WHERE genre = 'noir' AND title LIKE '%x%'")
 	est := qp.Scans[0].EstRows
 	if est == 0 || est > 300 {

@@ -330,8 +330,8 @@ func (s *FullAccessSource) EdgeDistance(e relational.JoinEdge) (float64, error) 
 }
 
 // ColumnStatistics returns the backend's statistics snapshot for one
-// column (distinct count, min/max, null fraction, histogram, most common
-// values), building it lazily at the current table version. This is the
+// column (row, NULL and distinct counts, min/max) at the current table
+// version. This is the
 // instance-statistics face of the wrapper: metadata-only sources cannot
 // provide it (ErrNoInstanceAccess), mirroring EdgeDistance.
 func (s *FullAccessSource) ColumnStatistics(table, column string) (*relational.ColumnStats, error) {

@@ -39,8 +39,8 @@
 // indexes, range predicates through sorted secondary indexes, MATCH
 // through full-text postings, single-table predicates are pushed below
 // joins, multi-joins are reordered by a Selinger-style search over
-// per-column statistics (distinct counts, histograms, most-common
-// values — collected lazily per table version), hash joins build on the
+// per-column statistics (row, NULL and distinct counts, min/max — built
+// on first use and kept exact by every insert), hash joins build on the
 // estimated-smaller side, and PruneEmpty validation queries execute in
 // existence-only mode that stops at the first surviving tuple. ExplainSQL
 // and ExplainAnalyzeSQL (and Result.Plan) expose the chosen plan with
@@ -147,8 +147,8 @@ type (
 	SQLQueryPlan = sql.QueryPlan
 	// SQLPlannerStats snapshots the planning layer's counters.
 	SQLPlannerStats = sql.PlannerStats
-	// ColumnStats is a per-column statistics snapshot (distinct count,
-	// min/max, null fraction, histogram, most-common values).
+	// ColumnStats is a per-column statistics snapshot (row, NULL and
+	// distinct counts, min/max).
 	ColumnStats = relational.ColumnStats
 
 	// Thesaurus is the ontology used for semantic matching.
