@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,10 +28,13 @@ const restrictKeys = 40
 // each key-only existence fragment (ExistsFragments), and each fragment
 // restricted on each of its join-key columns (Restrict, as the
 // coordinator's semi-join reduction does) with up to restrictKeys of that
-// column's values. Explain renders access paths, index-probe estimates,
-// join order and build sides, so a change to statistics or costing that
-// moves any plan moves a line, while TestIMDBCandidatesGolden, which
-// digests rows, would not notice. Regenerate (only for an intended plan
+// column's values, and each fragment with two or more join keys
+// restricted on all of them. Explain renders access paths, index-probe estimates,
+// join order and build sides, and the digest adds every scan's and join's
+// QueryPlan.EstRows, which Explain prints only for index scans before
+// execution. So a change to statistics or costing that moves any plan or
+// any estimate moves a line, while TestIMDBCandidatesGolden, which digests
+// rows, would not notice. Regenerate (only for an intended plan
 // change) with `go test ./internal/conformance -run
 // TestIMDBCandidatesPlanGolden -update`.
 func TestIMDBCandidatesPlanGolden(t *testing.T) {
@@ -58,12 +63,40 @@ func TestIMDBCandidatesPlanGolden(t *testing.T) {
 			}
 		}
 		edges, _ := sql.InnerJoinKeys(db.Schema, stmt)
+		keyCols := make([][]int, len(frags))
 		for _, e := range edges {
 			for _, end := range [2][2]int{{e.A, e.ACol}, {e.B, e.BCol}} {
 				f := frags[end[0]]
 				r := f.Restrict(db.Schema, end[1], columnKeys(db.Table(f.Ref.Table), end[1]))
 				emit(fmt.Sprintf("restrict %d.%d.%d", i, end[0], end[1]), r.Stmt)
+				if !slices.Contains(keyCols[end[0]], end[1]) {
+					keyCols[end[0]] = append(keyCols[end[0]], end[1])
+				}
 			}
+		}
+		// A fragment between two gathered neighbours is restricted on
+		// both join keys, smallest key list first, as the coordinator's
+		// reduceWave does: the first IN is an index probe, the others stay
+		// pushed and are costed from column statistics.
+		for fi, cols := range keyCols {
+			if len(cols) < 2 {
+				continue
+			}
+			f := frags[fi]
+			tb := db.Table(f.Ref.Table)
+			lists := make([][]relational.Value, len(cols))
+			for ci, col := range cols {
+				lists[ci] = columnKeys(tb, col)
+			}
+			order := make([]int, len(cols))
+			for ci := range order {
+				order[ci] = ci
+			}
+			sort.SliceStable(order, func(a, b int) bool { return len(lists[order[a]]) < len(lists[order[b]]) })
+			for _, ci := range order {
+				f = f.Restrict(db.Schema, cols[ci], lists[ci])
+			}
+			emit(fmt.Sprintf("restrict-all %d.%d", i, fi), f.Stmt)
 		}
 	}
 	if *updateGolden {
@@ -94,11 +127,22 @@ func TestIMDBCandidatesPlanGolden(t *testing.T) {
 	}
 }
 
-// explainDigest returns a SHA-256 prefix of the statement's Explain text.
+// explainDigest returns a SHA-256 prefix of the statement's Explain text
+// followed by the EstRows of every scan and join of its QueryPlan.
 func explainDigest(db *relational.Database, stmt *sql.SelectStmt) string {
 	text, err := sql.Explain(db, stmt)
 	if err != nil {
 		return "error"
+	}
+	qp, err := sql.Plan(db, stmt)
+	if err != nil {
+		return "error"
+	}
+	for _, sp := range qp.Scans {
+		text += fmt.Sprintf("\nest scan %s %d", sp.Binding, sp.EstRows)
+	}
+	for _, jp := range qp.Joins {
+		text += fmt.Sprintf("\nest join %s %d", jp.Binding, jp.EstRows)
 	}
 	sum := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(sum[:])[:24]
