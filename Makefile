@@ -67,7 +67,9 @@ bench-compare:
 # statement text the plan cache keys on (parse → print → parse is stable,
 # dropping LIMIT removes exactly its clause, planning never panics) and
 # the client's decoding of a statistics response (arbitrary bytes never
-# panic; what decodes re-encodes to a frame that decodes the same).
+# panic; what decodes re-encodes to a frame that decodes the same) and the
+# serving path on arbitrary query text (Search on IMDB, then Execute of
+# the top-1 under LIMIT 20: no panic, every explanation's SQL parses).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/transport
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExistsSemiJoin -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParsePrint -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzColumnStatsDecode -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzSearch -fuzztime 10s .
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

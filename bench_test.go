@@ -565,9 +565,9 @@ func BenchmarkComponent_FulltextRows(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Statistics/join-order benchmarks (PR 3 scorecard): the Selinger reorder
-// on a skewed 3-way join, and the sorted-index / IN-union / MATCH-posting
-// access paths vs the full-scan interpreter.
+// Statistics/join-order benchmarks: the Selinger reorder on a skewed 3-way
+// join, the IN-union and MATCH-posting access paths and the filtered scan
+// a range runs on vs the full-scan interpreter.
 
 // BenchmarkComponent_SQLJoinReorder: fact table written first, selective
 // predicate on the last dimension — the written order would join ~33k rows
@@ -587,8 +587,9 @@ func BenchmarkComponent_SQLJoinReorder(b *testing.B) {
 	}
 }
 
-// BenchmarkComponent_SQLRangeScan: BETWEEN through the sorted secondary
-// index vs the interpreter's per-row comparison over a full scan.
+// BenchmarkComponent_SQLRangeScan: BETWEEN as the planner's filtered full
+// scan (compiled comparisons; there is no range access path) vs the
+// interpreter's per-row comparison over a full scan.
 func BenchmarkComponent_SQLRangeScan(b *testing.B) {
 	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 16})
 	stmt := mustParseSQL(b, "SELECT title FROM movie WHERE production_year BETWEEN 1972 AND 1972")
@@ -660,9 +661,8 @@ func BenchmarkComponent_MatchPostings(b *testing.B) {
 // BenchmarkComponent_MixedReadWrite: the write-then-read unit of mixed
 // traffic, without the serving tier — one insert into movie followed by
 // a range read whose plan must re-consult that table's statistics and
-// whose scan must see the new row in the sorted index. Incremental
-// maintenance folds the insert into the statistics delta and the index
-// side-run.
+// whose filtered scan must see the new row. Incremental maintenance folds
+// the insert into the statistics summaries.
 func BenchmarkComponent_MixedReadWrite(b *testing.B) {
 	read := mustParseSQL(b, "SELECT COUNT(*) AS n FROM movie WHERE production_year >= 1980 AND rating >= 5.0")
 	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 20})

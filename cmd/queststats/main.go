@@ -185,22 +185,16 @@ func main() {
 		fmt.Println(tbl)
 
 		// Incremental-maintenance counters: how the snapshots above were
-		// produced (summaries built from the rows vs snapshots of an
-		// insert-maintained summary) and how the sorted indexes absorbed
-		// writes (side-run inserts merged on read vs threshold-triggered
-		// rebuilds).
+		// produced (summaries built from the rows vs inserts folded into
+		// an insert-maintained summary).
 		m := db.MaintenanceStats()
 		mt := &eval.Table{
-			Title: "incremental maintenance (instance-wide counters)",
-			Headers: []string{"stats-snapshots", "stats-builds",
-				"side-inserts", "side-merges", "index-rebuilds"},
+			Title:   "incremental maintenance (instance-wide counters)",
+			Headers: []string{"stats-folded-inserts", "stats-builds"},
 		}
 		mt.AddRow(
 			fmt.Sprint(m.StatsIncrementalUpdates),
 			fmt.Sprint(m.StatsFullRebuilds),
-			fmt.Sprint(m.SortedIndexSideInserts),
-			fmt.Sprint(m.SortedIndexMerges),
-			fmt.Sprint(m.SortedIndexRebuilds),
 		)
 		fmt.Println(mt)
 		fmt.Println(plannerCounterTable())
@@ -255,7 +249,7 @@ func replayWorkload(db *quest.Database, dbName string, seed int64) {
 }
 
 // plannerCounterTable renders the SQL planning layer's counters, including
-// the PR 3 access paths (range/IN/MATCH) and join-reorder decisions.
+// the index access paths (equality/IN/MATCH) and join-reorder decisions.
 func plannerCounterTable() *eval.Table {
 	st := sqlpkg.Stats()
 	tbl := &eval.Table{
@@ -267,7 +261,6 @@ func plannerCounterTable() *eval.Table {
 		{"plan-cache-hits", fmt.Sprint(st.PlanCacheHits)},
 		{"plan-cache-misses", fmt.Sprint(st.PlanCacheMisses)},
 		{"index-scans", fmt.Sprint(st.IndexScans)},
-		{"range-scans", fmt.Sprint(st.RangeScans)},
 		{"in-scans", fmt.Sprint(st.InScans)},
 		{"match-scans", fmt.Sprint(st.MatchScans)},
 		{"full-scans", fmt.Sprint(st.FullScans)},

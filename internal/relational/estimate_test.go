@@ -8,7 +8,7 @@ import (
 )
 
 // TestColumnStatsRangeEstimate pins that column statistics carry no range
-// information: a range conjunct that no sorted index serves is costed at
+// information: a range conjunct, always a pushed filter, is costed at
 // the planner's default one-third selectivity wherever its bound lies —
 // inside the column's values, below them or above them, written either
 // way round.
@@ -25,8 +25,7 @@ func TestColumnStatsRangeEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := relational.MustNewDatabase("range", s)
-	// Fewer rows than sql.LazyIndexThreshold, so no range scan is chosen
-	// and the conjunct is estimated, not probed.
+	// The range conjunct filters a full scan and is estimated, not probed.
 	const rows = 240
 	for i := 0; i < rows; i++ {
 		year := relational.Value(relational.Int(int64(1960 + i%50)))

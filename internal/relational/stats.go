@@ -126,8 +126,6 @@ func (t *Table) Stats(column string) (*ColumnStats, error) {
 		t.statsBuilds++
 	} else if s.snap.Version == t.version.Load() {
 		return s.snap, nil
-	} else {
-		t.statsSnapshots++
 	}
 	s.snap = t.snapshotLocked(ord, s)
 	return s.snap, nil

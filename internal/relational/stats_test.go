@@ -122,147 +122,13 @@ func TestStatsStaleVersionRebuild(t *testing.T) {
 	}
 }
 
-func TestRangeOrdinals(t *testing.T) {
-	tbl := statsTable(t)
-	ords, err := tbl.RangeOrdinals("year", Int(1970), Int(1972), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, r := range tbl.Rows() {
-		v := r[1]
-		if v.IsNull() {
-			continue
-		}
-		if v.AsInt() >= 1970 && v.AsInt() <= 1972 {
-			want++
-		}
-	}
-	if len(ords) != want {
-		t.Errorf("range [1970,1972] = %d ordinals, want %d", len(ords), want)
-	}
-	for _, o := range ords {
-		y := tbl.Row(o)[1]
-		if y.IsNull() || y.AsInt() < 1970 || y.AsInt() > 1972 {
-			t.Fatalf("ordinal %d outside range: %v", o, y)
-		}
-	}
-	// Strict bounds drop the endpoints.
-	strict, err := tbl.RangeOrdinals("year", Int(1970), Int(1972), false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range strict {
-		if y := tbl.Row(o)[1].AsInt(); y != 1971 {
-			t.Fatalf("strict range returned year %d", y)
-		}
-	}
-	// Unbounded sides.
-	all, err := tbl.RangeOrdinals("year", Null(), Null(), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 363 {
-		t.Errorf("unbounded range = %d ordinals, want 363 non-NULL", len(all))
-	}
-	// Empty interval.
-	empty, err := tbl.RangeOrdinals("year", Int(3000), Int(4000), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty) != 0 {
-		t.Errorf("empty interval returned %d ordinals", len(empty))
-	}
-	if _, err := tbl.RangeOrdinals("nope", Null(), Null(), true, true); err == nil {
-		t.Error("unknown column must error")
-	}
-}
-
-// TestSortedIndexSideRun: inserts land in a sorted side-run instead of
-// invalidating the index — range scans merge the runs on read, no rebuild
-// happens until the run outgrows sortedSideRunThreshold, and results never
-// miss a row.
-func TestSortedIndexSideRun(t *testing.T) {
-	tbl := statsTable(t)
-	if _, err := tbl.RangeOrdinals("year", Int(1970), Int(1980), true, true); err != nil {
-		t.Fatal(err)
-	}
-	builds := tbl.SortedIndexBuildCount()
-	tbl.MustInsert(Row{Int(9999), Int(2150), String_("scifi")})
-	if !tbl.HasSortedIndex("year") {
-		t.Error("side-run-maintained index must stay up to date across Insert")
-	}
-	ords, err := tbl.RangeOrdinals("year", Int(2100), Null(), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ords) != 1 || tbl.Row(ords[0])[1].AsInt() != 2150 {
-		t.Fatalf("post-insert range = %v, want the new row", ords)
-	}
-	if got := tbl.SortedIndexBuildCount(); got != builds {
-		t.Errorf("build count = %d, want %d (no rebuild within the side-run budget)", got, builds)
-	}
-	// Interleaved range results stay ordered by (value, ordinal) when both
-	// runs contribute.
-	tbl.MustInsert(Row{Int(10000), Int(1975), String_("drama")})
-	mixed, err := tbl.RangeOrdinals("year", Int(1974), Int(1976), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for i, o := range mixed {
-		y := tbl.Row(o)[1]
-		if y.IsNull() || y.AsInt() < 1974 || y.AsInt() > 1976 {
-			t.Fatalf("ordinal %d outside range: %v", o, y)
-		}
-		if i > 0 {
-			prev := tbl.Row(mixed[i-1])[1]
-			if c := Compare(prev, y); c > 0 || (c == 0 && mixed[i-1] > o) {
-				t.Fatalf("merged range out of (value, ordinal) order at %d", i)
-			}
-		}
-		if o == tbl.Len()-1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("merged range missed the side-run row")
-	}
-	if tbl.MaintenanceStats().SortedIndexMerges == 0 {
-		t.Error("read-time merge not counted")
-	}
-	// Overflow the side-run: the collapse counts as one rebuild and the
-	// index stays current.
-	for i := 0; i <= sortedSideRunThreshold; i++ {
-		tbl.MustInsert(Row{Int(int64(20000 + i)), Int(int64(1960 + i%50)), String_("drama")})
-	}
-	if got := tbl.SortedIndexBuildCount(); got != builds+1 {
-		t.Errorf("build count after overflow = %d, want %d (one collapse)", got, builds+1)
-	}
-	if !tbl.HasSortedIndex("year") {
-		t.Error("index must stay current after side-run collapse")
-	}
-	all, err := tbl.RangeOrdinals("year", Null(), Null(), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, r := range tbl.Rows() {
-		if !r[1].IsNull() {
-			want++
-		}
-	}
-	if len(all) != want {
-		t.Errorf("unbounded range after collapse = %d ordinals, want %d", len(all), want)
-	}
-}
-
 // TestStatsIncrementalDelta: after random inserts (NULLs, INT and FLOAT
 // literals into both numeric column types, repeated values) the
 // insert-maintained snapshot equals, field for field, the one a fresh
 // table holding the same rows builds from scratch — whether Distinct comes
 // from the summary's key set or, once a hash index exists, from the index
-// — and no snapshot after the first rereads the rows.
+// — no snapshot after the first rereads the rows, and every insert after
+// the first Stats calls is counted as folded.
 func TestStatsIncrementalDelta(t *testing.T) {
 	ts := &TableSchema{
 		Name: "x",
@@ -341,14 +207,50 @@ func TestStatsIncrementalDelta(t *testing.T) {
 	if got := tbl.MaintenanceStats().StatsFullRebuilds; got != builds {
 		t.Errorf("stats builds = %d, want %d (inserts never force a rebuild)", got, builds)
 	}
-	if got := tbl.MaintenanceStats().StatsIncrementalUpdates; got != 20*len(cols) {
-		t.Errorf("snapshots after inserts = %d, want %d", got, 20*len(cols))
+	if got := tbl.MaintenanceStats().StatsIncrementalUpdates; got != len(all)-50 {
+		t.Errorf("inserts folded into summaries = %d, want %d", got, len(all)-50)
 	}
 }
 
-// TestStatsConcurrentWithInsert hammers Stats and RangeOrdinals against
+// TestStatsIncrementalCountsWrites: StatsIncrementalUpdates counts the
+// inserts folded into a column summary, so the same inserts give the same
+// count whether plans read the statistics 0, 1 or 3 times between them.
+// Inserts before the first Stats call reach no summary and do not count.
+func TestStatsIncrementalCountsWrites(t *testing.T) {
+	var counts []int
+	for _, reads := range []int{0, 1, 3} {
+		tbl := statsTable(t)
+		tbl.MustInsert(Row{Int(5000), Int(1999), String_("noir")})
+		if _, err := tbl.Stats("year"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			year := Value(Int(int64(1950 + i)))
+			if i%7 == 0 {
+				year = Null()
+			}
+			tbl.MustInsert(Row{Int(int64(6000 + i)), year, String_("drama")})
+			for r := 0; r < reads; r++ {
+				if _, err := tbl.Stats([]string{"year", "genre", "id"}[r]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		counts = append(counts, tbl.MaintenanceStats().StatsIncrementalUpdates)
+	}
+	for i, reads := range []int{0, 1, 3} {
+		if counts[i] != 30 {
+			t.Errorf("%d Stats reads between inserts: StatsIncrementalUpdates = %d, want 30", reads, counts[i])
+		}
+	}
+}
+
+// TestStatsConcurrentWithInsert hammers Stats and EnsureIndex against
 // concurrent Inserts — run with -race. Every snapshot served must be
-// internally consistent (rows ≥ nulls, min ≤ max) even while writes land.
+// internally consistent (rows ≥ nulls, min ≤ max) even while writes land,
+// and a lazy index build must not race Insert's posting maintenance.
+// (LookupOrdinals reads its posting outside idxMu, so it belongs to
+// TestStatsConcurrentBuild, which has no writer.)
 func TestStatsConcurrentWithInsert(t *testing.T) {
 	tbl := statsTable(t)
 	var wg sync.WaitGroup
@@ -392,7 +294,7 @@ func TestStatsConcurrentWithInsert(t *testing.T) {
 					errc <- fmt.Errorf("inconsistent snapshot: min %v > max %v", cs.Min, cs.Max)
 					return
 				}
-				if _, err := tbl.RangeOrdinals("year", Int(1970), Int(1990), true, true); err != nil {
+				if _, err := tbl.EnsureIndex([]string{"year", "genre"}[w%2]); err != nil {
 					errc <- err
 					return
 				}
@@ -415,7 +317,7 @@ func TestStatsConcurrentWithInsert(t *testing.T) {
 }
 
 // TestStatsConcurrentBuild: concurrent readers may trigger the same lazy
-// stats/sorted-index build; run with -race.
+// stats/hash-index build; run with -race.
 func TestStatsConcurrentBuild(t *testing.T) {
 	tbl := statsTable(t)
 	var wg sync.WaitGroup
@@ -429,7 +331,7 @@ func TestStatsConcurrentBuild(t *testing.T) {
 					errc <- err
 					return
 				}
-				if _, err := tbl.RangeOrdinals("year", Int(int64(1960+w)), Int(int64(1990+i)), true, true); err != nil {
+				if _, err := tbl.LookupOrdinals("year", Int(int64(1960+w+i))); err != nil {
 					errc <- err
 					return
 				}
@@ -443,5 +345,8 @@ func TestStatsConcurrentBuild(t *testing.T) {
 	}
 	if got := tbl.MaintenanceStats().StatsFullRebuilds; got != 2 {
 		t.Errorf("stats builds = %d, want 2 (one per column, no duplicate builds)", got)
+	}
+	if got := tbl.IndexBuildCount(); got != 1 {
+		t.Errorf("index builds = %d, want 1 (no duplicate builds)", got)
 	}
 }

@@ -3,7 +3,6 @@ package relational
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -22,22 +21,22 @@ func (r Row) Clone() Row {
 //
 // Bulk population (loaders, generators) remains a distinct phase that must
 // not run concurrently with reads. After population, all read paths are
-// safe to share between goroutines, and the index/statistics read paths
-// (EnsureIndex, Lookup, RangeOrdinals, Stats, DistinctCount) additionally
-// tolerate concurrent Inserts: Insert performs every shared-structure
-// mutation — row append, version bump, index and statistics maintenance —
-// under idxMu, the same lock those readers take. Unlocked row access
-// (Rows, Row, LookupPK, executor scans) is still reads-only territory;
+// safe to share between goroutines, and the lazy builds (EnsureIndex,
+// Stats) additionally tolerate concurrent Inserts: Insert performs every
+// shared-structure mutation — row append, version bump, index and
+// statistics maintenance — under idxMu, the same lock those builds take.
+// Unlocked access (Rows, Row, LookupPK, the index probes Lookup,
+// LookupOrdinals, ProbeOrdinals and DistinctCount, reads of a map
+// EnsureIndex returned, executor scans) is still reads-only territory;
 // callers that interleave scans with writes serialize at a higher layer
 // (wrapper.FullAccessSource holds an RWMutex around Execute/Insert).
 //
 // Index invalidation rules: an equality index built by EnsureIndex is
 // maintained incrementally by Insert (the new ordinal is appended to its
-// posting), so indexes built mid-population stay correct. Insert keeps
-// sorted indexes current through a sorted side-run and folds each cell
-// into its column's statistics summary (see maintain.go); statistics
-// snapshots are version-checked, so reads after writes avoid full
-// rebuilds. Every Insert also bumps the table's Version; consumers that
+// posting), so indexes built mid-population stay correct. Insert also
+// folds each cell into its column's statistics summary (see maintain.go);
+// statistics snapshots are version-checked, so reads after writes avoid
+// full rebuilds. Every Insert also bumps the table's Version; consumers that
 // cache derived state outside the table (the SQL planner's plan cache,
 // the engine's query cache) key it on the version and so observe
 // mutations as cache misses rather than stale reads.
@@ -62,29 +61,12 @@ type Table struct {
 	// index (operator-facing statistic; rebuilds after DropIndexes count
 	// again).
 	indexBuilds int
-	// sortedIndexes maps column ordinal -> row ordinals sorted by value
-	// (range-scan support). Insert keeps every entry current by absorbing
-	// rows into a sorted side-run.
-	sortedIndexes map[int]*sortedIndex
-	sortedBuilds  int
-	sortedMerges  int // read-time main+side merges (see RangeOrdinals)
-	sideInserts   int // inserts absorbed into side-runs
 	// summaries holds the insert-maintained statistics of each column
 	// Stats has been asked for (see stats.go); statsBuilds counts their
-	// builds from the rows, statsSnapshots their snapshots after inserts.
-	summaries      map[int]*colSummary
-	statsBuilds    int
-	statsSnapshots int
-}
-
-// sortedIndex holds a column's non-NULL row ordinals ordered by
-// (value ascending under Compare, ordinal ascending). Inserts land in
-// side — also (value, ordinal)-ordered, and ordinal-disjoint above ords —
-// which range reads merge on the fly until it exceeds
-// sortedSideRunThreshold and is collapsed into ords.
-type sortedIndex struct {
-	ords []int
-	side []int
+	// builds from the rows, statsFolds the inserts folded into them.
+	summaries   map[int]*colSummary
+	statsBuilds int
+	statsFolds  int
 }
 
 func columnError(t *Table, column string) error {
@@ -159,58 +141,20 @@ func (t *Table) Insert(row Row) error {
 		k := coerced[colOrd].Key()
 		idx[k] = append(idx[k], ord)
 	}
-	t.maintainInsertLocked(coerced, ord)
+	t.maintainInsertLocked(coerced)
 	return nil
 }
 
-// maintainInsertLocked absorbs one inserted row into the incremental
-// maintenance structures: each sorted index takes the row into its
-// side-run (collapsing when the run outgrows sortedSideRunThreshold), and
-// each column's statistics summary folds in the new cell. Caller holds
-// idxMu.
-func (t *Table) maintainInsertLocked(row Row, ord int) {
-	for colOrd, si := range t.sortedIndexes {
-		v := row[colOrd]
-		if v.IsNull() {
-			continue // NULL cells are absent from sorted indexes
-		}
-		pos := sort.Search(len(si.side), func(i int) bool {
-			return Compare(t.rows[si.side[i]][colOrd], v) > 0
-		})
-		si.side = append(si.side, 0)
-		copy(si.side[pos+1:], si.side[pos:])
-		si.side[pos] = ord
-		t.sideInserts++
-		if len(si.side) > sortedSideRunThreshold {
-			t.collapseSideLocked(colOrd, si)
-		}
-	}
+// maintainInsertLocked folds each cell of an inserted row into its
+// column's statistics summary, and counts the insert once when it reached
+// at least one. Caller holds idxMu.
+func (t *Table) maintainInsertLocked(row Row) {
 	for colOrd, s := range t.summaries {
 		s.note(row[colOrd])
 	}
-}
-
-// collapseSideLocked folds an overgrown side-run back into the main sorted
-// run with one linear merge (side ordinals all postdate main ordinals, so
-// ties keep main first and (value, ordinal) order holds). It replaces the
-// main run, so it counts as a rebuild. Caller holds idxMu.
-func (t *Table) collapseSideLocked(colOrd int, si *sortedIndex) {
-	merged := make([]int, 0, len(si.ords)+len(si.side))
-	i, j := 0, 0
-	for i < len(si.ords) && j < len(si.side) {
-		if Compare(t.rows[si.ords[i]][colOrd], t.rows[si.side[j]][colOrd]) <= 0 {
-			merged = append(merged, si.ords[i])
-			i++
-		} else {
-			merged = append(merged, si.side[j])
-			j++
-		}
+	if len(t.summaries) > 0 {
+		t.statsFolds++
 	}
-	merged = append(merged, si.ords[i:]...)
-	merged = append(merged, si.side[j:]...)
-	si.ords = merged
-	si.side = nil
-	t.sortedBuilds++
 }
 
 // Version returns the table's mutation counter. It changes on every Insert,
@@ -399,130 +343,6 @@ func (t *Table) DistinctCount(column string) (int, error) {
 	return len(idx), nil
 }
 
-// ensureSortedLocked returns the sorted index for the column ordinal,
-// building it when missing. Caller holds idxMu.
-func (t *Table) ensureSortedLocked(ord int) *sortedIndex {
-	if si, ok := t.sortedIndexes[ord]; ok {
-		return si
-	}
-	ords := make([]int, 0, len(t.rows))
-	for i, r := range t.rows {
-		if r[ord].IsNull() {
-			continue
-		}
-		ords = append(ords, i)
-	}
-	sort.SliceStable(ords, func(a, b int) bool {
-		return Compare(t.rows[ords[a]][ord], t.rows[ords[b]][ord]) < 0
-	})
-	si := &sortedIndex{ords: ords}
-	if t.sortedIndexes == nil {
-		t.sortedIndexes = make(map[int]*sortedIndex)
-	}
-	t.sortedIndexes[ord] = si
-	t.sortedBuilds++
-	return si
-}
-
-// RangeOrdinals returns the ordinals of the rows whose column value lies in
-// the [lo, hi] interval under Compare ordering, with per-bound strictness
-// (loInc/hiInc select ≥/≤ over >/<). A NULL bound is unbounded on that
-// side; NULL cells never qualify (they are absent from the sorted index,
-// matching SQL comparison semantics). The result is ordered by value;
-// unless the sorted side-run contributes rows (in which case a fresh merged
-// slice is allocated) it is a sub-slice of the shared index — callers must
-// treat it as read-only either way. A sorted index is built on first use
-// and kept current by Insert, so range scans always see every row.
-func (t *Table) RangeOrdinals(column string, lo, hi Value, loInc, hiInc bool) ([]int, error) {
-	ord := t.Schema.ColumnIndex(column)
-	if ord < 0 {
-		return nil, columnError(t, column)
-	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	si := t.ensureSortedLocked(ord)
-	cut := func(ords []int) (int, int) {
-		val := func(i int) Value { return t.rows[ords[i]][ord] }
-		start := 0
-		if !lo.IsNull() {
-			start = sort.Search(len(ords), func(i int) bool {
-				c := Compare(val(i), lo)
-				if loInc {
-					return c >= 0
-				}
-				return c > 0
-			})
-		}
-		end := len(ords)
-		if !hi.IsNull() {
-			end = sort.Search(len(ords), func(i int) bool {
-				c := Compare(val(i), hi)
-				if hiInc {
-					return c > 0
-				}
-				return c >= 0
-			})
-		}
-		return start, end
-	}
-	start, end := cut(si.ords)
-	if len(si.side) == 0 {
-		if start >= end {
-			return nil, nil
-		}
-		return si.ords[start:end], nil
-	}
-	s2, e2 := cut(si.side)
-	switch {
-	case s2 >= e2 && start >= end:
-		return nil, nil
-	case s2 >= e2:
-		return si.ords[start:end], nil
-	case start >= end:
-		return si.side[s2:e2], nil
-	}
-	// Both runs contribute: merge the two value-ordered slices. Side
-	// ordinals postdate main ordinals, so ties keep main first and the
-	// (value, ordinal) contract holds.
-	main, side := si.ords[start:end], si.side[s2:e2]
-	merged := make([]int, 0, len(main)+len(side))
-	i, j := 0, 0
-	for i < len(main) && j < len(side) {
-		if Compare(t.rows[main[i]][ord], t.rows[side[j]][ord]) <= 0 {
-			merged = append(merged, main[i])
-			i++
-		} else {
-			merged = append(merged, side[j])
-			j++
-		}
-	}
-	merged = append(merged, main[i:]...)
-	merged = append(merged, side[j:]...)
-	t.sortedMerges++
-	return merged, nil
-}
-
-// HasSortedIndex reports whether a sorted index exists for the column (it
-// does not trigger a build).
-func (t *Table) HasSortedIndex(column string) bool {
-	ord := t.Schema.ColumnIndex(column)
-	if ord < 0 {
-		return false
-	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	_, ok := t.sortedIndexes[ord]
-	return ok
-}
-
-// SortedIndexBuildCount returns how many sorted-index builds this table has
-// performed (first builds and side-run collapses alike).
-func (t *Table) SortedIndexBuildCount() int {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	return t.sortedBuilds
-}
-
 // HasIndex reports whether an equality index is already built for the
 // column (it does not trigger a build).
 func (t *Table) HasIndex(column string) bool {
@@ -559,15 +379,14 @@ func (t *Table) IndexBuildCount() int {
 	return t.indexBuilds
 }
 
-// DropIndexes discards every lazily built equality index, sorted index and
-// statistics snapshot (the primary-key index is schema-declared and kept).
+// DropIndexes discards every lazily built equality index and statistics
+// summary (the primary-key index is schema-declared and kept).
 // Like Insert it belongs to the population phase: call it after bulk row
 // replacement, never concurrently with readers.
 func (t *Table) DropIndexes() {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	t.colIndexes = make(map[int]map[string][]int)
-	t.sortedIndexes = nil
 	t.summaries = nil
 	t.version.Add(1)
 }

@@ -16,15 +16,16 @@
 //   - Access paths. Each base table becomes a scan node. An equality
 //     conjunct `col = literal` is routed through a per-column hash index,
 //     an `IN (literals...)` conjunct through the union of the per-literal
-//     hash postings, range conjuncts (<, <=, >, >=, BETWEEN — every bound
-//     on the chosen column combined into one interval) through a sorted
-//     secondary index (relational.Table.RangeOrdinals), and `col MATCH
-//     'kw'` through full-text postings (fulltext.AttributeIndex.Rows), so
-//     a MATCH scan touches only the rows containing every keyword token.
-//     Index structures are used when the column is a declared key —
-//     primary key, foreign key, or FK-referenced — or when the table has
-//     at least LazyIndexThreshold rows, in which case the planner builds
-//     them on demand. Everything else is a full scan.
+//     hash postings, and `col MATCH 'kw'` through full-text postings
+//     (fulltext.AttributeIndex.Rows), so a MATCH scan touches only the
+//     rows containing every keyword token. Index structures are used when
+//     the column is a declared key — primary key, foreign key, or
+//     FK-referenced — or when the table has at least LazyIndexThreshold
+//     rows, in which case the planner builds them on demand. Everything
+//     else is a full scan. Range conjuncts (<, <=, >, >=, BETWEEN), which
+//     QUEST never generates, have no access path of their own: they stay
+//     pushed filters, compiled like any other comparison, on whichever
+//     access path the other conjuncts choose.
 //   - Predicate pushdown. The WHERE conjunction is split; single-table
 //     conjuncts are evaluated inside the owning scan, below every join.
 //     Conjuncts on the null-extended side of a LEFT JOIN are pinned above
@@ -181,8 +182,8 @@
 // interpreter's join) is one map from key hash to the first row of its
 // chain plus one next-position slice: two allocations, not one per key.
 // The chains are built back to front, so a probe visits its partners in
-// the build side's row order. A right side read through an index, range, IN
-// or MATCH probe is collected into a slice sized by the probe's
+// the build side's row order. A right side read through an index, IN or
+// MATCH probe is collected into a slice sized by the probe's
 // ordinals, an upper bound on its rows.
 //
 // # Plan cache and invalidation
@@ -205,8 +206,8 @@
 // (wrapper.TableVersioner) instead of a global epoch.
 //
 // Equality indexes and column statistics are maintained exactly by
-// Insert; sorted indexes, MATCH posting indexes and statistics snapshots
-// are version-checked on first use after a mutation and either updated
+// Insert; MATCH posting indexes and statistics snapshots are
+// version-checked on first use after a mutation and either snapshotted
 // from what Insert maintained or rebuilt (relational's incremental
 // maintenance), so the planner never reads stale statistics or index
 // postings. Planned queries are immutable after construction
@@ -217,7 +218,7 @@
 // evaluated per joined row) as the reference implementation; the
 // equivalence suite in equivalence_test.go continuously checks the two
 // paths agree — NULL-key join rows, LEFT JOIN edge cases, reordered
-// multi-joins, range and IN probes included.
+// multi-joins, range filters and IN probes included.
 //
 // # Pushdown fragments (distributed execution contract)
 //

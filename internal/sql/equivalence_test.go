@@ -196,8 +196,8 @@ func TestPlannerEquivalenceTableDriven(t *testing.T) {
 		`SELECT person.name, cast_info.role FROM person
 			JOIN cast_info ON cast_info.person_id = person.person_id
 			WHERE person.person_id = 3`,
-		// Range predicates through the sorted index (and NULL years
-		// which must never qualify).
+		// Range predicates as pushed filters (NULL years must never
+		// qualify).
 		"SELECT title FROM movie WHERE year BETWEEN 1970 AND 1980",
 		"SELECT title FROM movie WHERE year > 1990 AND year <= 2005 AND rating > 5",
 		"SELECT title FROM movie WHERE 1985 <= year",

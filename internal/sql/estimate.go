@@ -163,36 +163,6 @@ func localCmpLiteral(local *relation, be *BinaryExpr) (ord int, v relational.Val
 	return ord, l.Value, true
 }
 
-// localRangeLiteral deconstructs `col op literal` for the ordering
-// operators, flipping the operator when the literal is written first.
-func localRangeLiteral(local *relation, be *BinaryExpr) (ord int, v relational.Value, op BinaryOp, ok bool) {
-	op = be.Op
-	ref, lit := be.Left, be.Right
-	if _, isRef := ref.(*ColumnRef); !isRef {
-		ref, lit = be.Right, be.Left
-		switch op {
-		case OpLt:
-			op = OpGt
-		case OpLe:
-			op = OpGe
-		case OpGt:
-			op = OpLt
-		case OpGe:
-			op = OpLe
-		}
-	}
-	cr, okRef := ref.(*ColumnRef)
-	l, okLit := lit.(*Literal)
-	if !okRef || !okLit || l.Value.IsNull() {
-		return 0, relational.Null(), op, false
-	}
-	o, err := local.resolve(cr)
-	if err != nil {
-		return 0, relational.Null(), op, false
-	}
-	return o, l.Value, op, true
-}
-
 // columnDistinct returns the distinct count of a scan node's local column,
 // falling back to the scan estimate when statistics are unavailable. It
 // feeds the equi-join selectivity 1/max(V(l), V(r)).

@@ -107,7 +107,8 @@ type existsNode struct {
 	// key holds the local ordinal of the column the parent probes (unused
 	// at the root), as the one-element ordinal list joinKey takes.
 	key []int
-	// member is the access path's ordinals, sorted for binary search; nil
+	// member is the access path's ordinals, ascending like every probe
+	// result, for binary search; nil
 	// for a full scan, whose rows are all candidates.
 	member []int
 	kids   []existsEdge
@@ -205,10 +206,6 @@ func newExistsPlan(p *plannedQuery, stmt *SelectStmt, nodes []*scanNode, nodeTab
 		en := existsNode{scan: n, bind: scan, key: key}
 		if n.access != AccessFullScan {
 			en.member = n.ords
-			if !slices.IsSorted(en.member) { // range scans list by value
-				en.member = slices.Clone(en.member)
-				slices.Sort(en.member)
-			}
 			if en.member == nil {
 				en.member = []int{}
 			}

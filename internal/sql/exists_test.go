@@ -21,8 +21,8 @@ var (
 )
 
 // mixedKeyDB holds three tables whose INT column k and FLOAT column f carry
-// those keys; every table is indexed by id in descending insertion order,
-// so a range access path lists its ordinals out of ordinal order.
+// those keys; ids descend in insertion order (see keyDB), so an id range
+// selects a suffix of the stored rows.
 func mixedKeyDB(t testing.TB) *relational.Database {
 	t.Helper()
 	I, F, N := relational.Int, relational.Float, relational.Null()
@@ -162,8 +162,8 @@ func TestExistsMixedKeys(t *testing.T) {
 				}
 			}
 			// A point probe roots the walk at the last binding, so the first
-			// one is a child whose range access lists its ordinals out of
-			// order, or whose compiled MATCH must reject partners.
+			// one is a child whose range filter or compiled MATCH must
+			// reject partners.
 			first, last := bindings[0], bindings[len(bindings)-1]
 			for id := 1; id <= lens[tables[len(tables)-1]]; id++ {
 				for _, cond := range []string{first + ".id > 2", first + ".s MATCH 'red'"} {

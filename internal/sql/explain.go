@@ -8,8 +8,8 @@ import (
 )
 
 // Explain renders a textual execution plan for the statement against the
-// database: access paths (equality, range, IN-list or MATCH-posting index
-// probes vs full scans), pushed-down predicates, the chosen join order,
+// database: access paths (equality, IN-list or MATCH-posting index probes
+// vs full scans), pushed-down predicates, the chosen join order,
 // join strategies (hash vs nested loop) with build sides and key columns,
 // filters, aggregation, ordering and limits. The rendering is produced
 // from the same QueryPlan the executor runs, so the plan reflects what
@@ -154,8 +154,6 @@ func scanLine(db *relational.Database, sp ScanPlan) string {
 	switch sp.Access {
 	case AccessIndexEq:
 		s = fmt.Sprintf("INDEX SCAN %s (%s = %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
-	case AccessIndexRange:
-		s = fmt.Sprintf("RANGE SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	case AccessIndexIn:
 		s = fmt.Sprintf("IN SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup(), sp.EstRows)
 	case AccessMatchPostings:

@@ -16,9 +16,9 @@ import (
 // LazyIndexThreshold is the table size above which the planner builds an
 // on-demand index for a non-key column instead of scanning: below it a
 // filtered scan is cheaper than the build, above it the build amortizes
-// after a single query. It gates hash, sorted and MATCH-posting builds
-// alike. Declared key columns (PK, FK and FK-referenced) always qualify for
-// hash/sorted index access regardless of size.
+// after a single query. It gates hash and MATCH-posting builds alike.
+// Declared key columns (PK, FK and FK-referenced) always qualify for hash
+// index access regardless of size.
 const LazyIndexThreshold = 256
 
 // ReorderMaxRelations caps the bottom-up join-order search: statements
@@ -30,7 +30,6 @@ const ReorderMaxRelations = 8
 const (
 	AccessFullScan      = "full-scan"
 	AccessIndexEq       = "index-eq"
-	AccessIndexRange    = "index-range"
 	AccessIndexIn       = "index-in"
 	AccessMatchPostings = "match-postings"
 )
@@ -112,7 +111,7 @@ type PlannerStats struct {
 	PlanCacheHits      uint64
 	PlanCacheMisses    uint64
 	IndexScans         uint64 // scans routed through an equality index
-	RangeScans         uint64 // scans routed through a sorted-index range
+	RangeScans         uint64 // always 0: range conjuncts are pushed filters; kept for readers that report it
 	InScans            uint64 // scans served by unioned IN-list postings
 	MatchScans         uint64 // scans served by full-text MATCH postings
 	FullScans          uint64 // full-scan access paths chosen (at plan time)
@@ -131,7 +130,7 @@ type PlannerStats struct {
 type plannerCounters struct {
 	plans, cacheHits, cacheMisses      atomic.Uint64
 	indexScans, fullScans, lazyBuilds  atomic.Uint64
-	rangeScans, inScans, matchScans    atomic.Uint64
+	inScans, matchScans                atomic.Uint64
 	narrowedScans                      atomic.Uint64
 	joinReorders                       atomic.Uint64
 	hashJoins, nestedLoops, buildSwaps atomic.Uint64
@@ -148,7 +147,6 @@ func Stats() PlannerStats {
 		PlanCacheHits:      counters.cacheHits.Load(),
 		PlanCacheMisses:    counters.cacheMisses.Load(),
 		IndexScans:         counters.indexScans.Load(),
-		RangeScans:         counters.rangeScans.Load(),
 		InScans:            counters.inScans.Load(),
 		MatchScans:         counters.matchScans.Load(),
 		FullScans:          counters.fullScans.Load(),
@@ -198,7 +196,7 @@ type scanNode struct {
 	pushed []Expr
 	// access is the chosen access path; idxCol/lookup (inList for an IN
 	// probe) describe the probe and ords are its results captured at plan
-	// time (shared, read-only).
+	// time, ascending (shared, read-only).
 	access string
 	idxCol string
 	lookup string
@@ -397,9 +395,9 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 		}
 	}
 
-	// Access-path selection per scan: route equality, IN-list, range and
-	// MATCH predicates through the matching index structure, estimate the
-	// rest from column statistics.
+	// Access-path selection per scan: route equality, IN-list and MATCH
+	// predicates through the matching index structure, estimate the rest
+	// from column statistics.
 	for i, n := range nodes {
 		if err := n.chooseAccess(db, tables[i], db.Schema.KeyColumns(n.tr.Table)); err != nil {
 			return nil, err
@@ -534,34 +532,12 @@ func localEqLiteral(local *relation, c Expr) (ord int, v relational.Value, ok bo
 	return localCmpLiteral(local, be)
 }
 
-// rangeBound is one direction of a column's range restriction.
-type rangeBound struct {
-	v         relational.Value
-	inclusive bool
-	set       bool
-}
-
-// tighten replaces b when nv is a stricter bound in direction dir (+1 for
-// lower bounds: larger wins; -1 for upper bounds: smaller wins).
-func (b *rangeBound) tighten(nv relational.Value, inclusive bool, dir int) {
-	if !b.set {
-		*b = rangeBound{v: nv, inclusive: inclusive, set: true}
-		return
-	}
-	c := relational.Compare(nv, b.v) * dir
-	if c > 0 || (c == 0 && !inclusive) {
-		*b = rangeBound{v: nv, inclusive: inclusive, set: true}
-	}
-}
-
 // chooseAccess picks the scan's access path, in order of preference:
 //
 //  1. an equality conjunct `col = literal` through a hash index (primary
 //     key probes answered from pkIndex),
 //  2. an IN-list conjunct through a union of hash-index postings,
-//  3. range conjuncts (<, <=, >, >=, BETWEEN) through a sorted-index
-//     range scan, combining every bound on the chosen column,
-//  4. a `col MATCH 'kw'` conjunct through full-text postings
+//  3. a `col MATCH 'kw'` conjunct through full-text postings
 //     (fulltext.AttributeIndex.Rows), which scans only the rows whose cell
 //     contains every keyword token.
 //
@@ -650,82 +626,7 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 		return nil
 	}
 
-	// 3. Sorted-index range scan: gather every bound per column, choose the
-	// first bounded column in conjunct order, and serve the combined
-	// interval from the sorted index.
-	type colRange struct {
-		ord      int
-		lo, hi   rangeBound
-		conjunct []int // indexes into n.pushed served by the probe
-	}
-	var ranges []*colRange
-	byOrd := make(map[int]*colRange)
-	for ci, c := range n.pushed {
-		be, ok := c.(*BinaryExpr)
-		if !ok || (be.Op != OpLt && be.Op != OpLe && be.Op != OpGt && be.Op != OpGe) {
-			continue
-		}
-		ord, v, op, okCmp := localRangeLiteral(local, be)
-		if !okCmp || !rangeWorthy(t, keyCols, ord) {
-			continue
-		}
-		r := byOrd[ord]
-		if r == nil {
-			r = &colRange{ord: ord}
-			byOrd[ord] = r
-			ranges = append(ranges, r)
-		}
-		switch op {
-		case OpGt:
-			r.lo.tighten(v, false, 1)
-		case OpGe:
-			r.lo.tighten(v, true, 1)
-		case OpLt:
-			r.hi.tighten(v, false, -1)
-		case OpLe:
-			r.hi.tighten(v, true, -1)
-		}
-		r.conjunct = append(r.conjunct, ci)
-	}
-	if len(ranges) > 0 {
-		r := ranges[0]
-		colName := t.Schema.Columns[r.ord].Name
-		if !t.HasSortedIndex(colName) {
-			counters.lazyBuilds.Add(1)
-		}
-		lo, hi := relational.Null(), relational.Null()
-		loInc, hiInc := true, true
-		if r.lo.set {
-			lo, loInc = r.lo.v, r.lo.inclusive
-		}
-		if r.hi.set {
-			hi, hiInc = r.hi.v, r.hi.inclusive
-		}
-		ords, err := t.RangeOrdinals(colName, lo, hi, loInc, hiInc)
-		if err != nil {
-			return err
-		}
-		counters.rangeScans.Add(1)
-		n.access = AccessIndexRange
-		n.idxCol = colName
-		n.lookup = rangeText(r.lo, r.hi)
-		n.ords = ords
-		served := make(map[int]bool, len(r.conjunct))
-		for _, ci := range r.conjunct {
-			served[ci] = true
-		}
-		kept := n.pushed[:0:0]
-		for ci, c := range n.pushed {
-			if !served[ci] {
-				kept = append(kept, c)
-			}
-		}
-		n.pushed = kept
-		n.finishEstimate(t, len(ords))
-		return nil
-	}
-
-	// 4. MATCH postings: `col MATCH 'kw'` scans only the posting rows.
+	// 3. MATCH postings: `col MATCH 'kw'` scans only the posting rows.
 	for ci, c := range n.pushed {
 		be, ok := c.(*BinaryExpr)
 		if !ok || be.Op != OpMatch {
@@ -758,12 +659,6 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 	return nil
 }
 
-// rangeWorthy mirrors the hash-index worthiness rule for sorted indexes.
-func rangeWorthy(t *relational.Table, keyCols map[string]bool, ord int) bool {
-	colName := t.Schema.Columns[ord].Name
-	return keyCols[strings.ToLower(colName)] || t.HasSortedIndex(colName) || t.Len() >= LazyIndexThreshold
-}
-
 // finishEstimate sets the scan estimate: the probe result size (exact at
 // plan time) scaled by the selectivity of the remaining pushed conjuncts.
 func (n *scanNode) finishEstimate(t *relational.Table, base int) {
@@ -776,8 +671,7 @@ func (n *scanNode) finishEstimate(t *relational.Table, base int) {
 }
 
 // Lookup renders the probe of an index access path: "= 7" for an equality
-// probe, the bound conjunction for a range scan, the literal list for IN,
-// the keyword for MATCH postings; "" for a full scan. An IN list is
+// probe, the literal list for IN, the keyword for MATCH postings; "" for a full scan. An IN list is
 // rendered here, on demand, rather than at plan time: semi-join-reduced
 // fragments carry up to 1 024 keys and their plans are rarely printed.
 func (sp ScanPlan) Lookup() string {
@@ -793,25 +687,6 @@ func literalList(vals []relational.Value) string {
 		parts[i] = v.SQL()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-func rangeText(lo, hi rangeBound) string {
-	var parts []string
-	if lo.set {
-		op := ">"
-		if lo.inclusive {
-			op = ">="
-		}
-		parts = append(parts, op+" "+lo.v.SQL())
-	}
-	if hi.set {
-		op := "<"
-		if hi.inclusive {
-			op = "<="
-		}
-		parts = append(parts, op+" "+hi.v.SQL())
-	}
-	return strings.Join(parts, " AND ")
 }
 
 // matchIndexFor returns the cached (or freshly built) single-attribute

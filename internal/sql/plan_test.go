@@ -338,36 +338,57 @@ func bigDB(t testing.TB) *relational.Database {
 	return db
 }
 
-// TestPlanRangeScan: BETWEEN and bare inequalities route through the
-// sorted index, combining every bound on the chosen column, and the probe
-// conjuncts are not re-evaluated.
+// TestPlanRangeScan: there is no range access path. Range conjuncts
+// (BETWEEN, bare and redundant inequalities) stay in the scan's pushed
+// list, compiled like any other comparison, on the access path the other
+// conjuncts choose — a full scan when there are none. Rows therefore come
+// in storage order: Run equals the reference interpreter row for row and
+// in order, with and without LIMIT.
 func TestPlanRangeScan(t *testing.T) {
 	db := bigDB(t)
-	qp := planFor(t, db, "SELECT title FROM movie WHERE year BETWEEN 1960 AND 1965")
-	if qp.Scans[0].Access != AccessIndexRange || qp.Scans[0].IndexColumn != "year" {
-		t.Fatalf("BETWEEN access = %+v, want range scan on year", qp.Scans[0])
+	for _, tc := range []struct {
+		where  string
+		access string
+		pushed int
+	}{
+		{"year BETWEEN 1960 AND 1965", AccessFullScan, 2},
+		{"year > 1960 AND year > 1962 AND year <= 1965", AccessFullScan, 3},
+		{"1990 < year", AccessFullScan, 1},
+		{"genre = 'noir' AND year >= 1990", AccessIndexEq, 1},
+		{"movie_id IN (3, 6, 9, 300, 600) AND year < 2000", AccessIndexIn, 1},
+	} {
+		src := "SELECT title, year FROM movie WHERE " + tc.where
+		p, err := planSelect(db, mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := p.plan.Scans[0]
+		if sp.Access != tc.access || len(sp.Pushed) != tc.pushed {
+			t.Errorf("%s: access %s with pushed %v, want %s with %d pushed conjuncts",
+				tc.where, sp.Access, sp.Pushed, tc.access, tc.pushed)
+		}
+		if !p.base.vecOK {
+			t.Errorf("%s: pushed range conjuncts did not compile", tc.where)
+		}
+		for _, limit := range []string{"", " LIMIT 4"} {
+			res, err := Run(db, src+limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := ExecuteFullScan(db, mustParse(t, src+limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.Rows) == 0 {
+				t.Fatalf("%s%s: the reference selects no row", tc.where, limit)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(ref.Rows) {
+				t.Errorf("%s%s: planned rows\n  %v\nwant, in the reference order,\n  %v", tc.where, limit, res.Rows, ref.Rows)
+			}
+		}
 	}
-	if len(qp.Scans[0].Pushed) != 0 {
-		t.Errorf("range-served conjuncts must leave the pushed list: %v", qp.Scans[0].Pushed)
-	}
-	res, err := Run(db, "SELECT title FROM movie WHERE year BETWEEN 1960 AND 1965")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ExecuteFullScan(db, mustParse(t, "SELECT title FROM movie WHERE year BETWEEN 1960 AND 1965"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(ref.Rows) || len(res.Rows) == 0 {
-		t.Errorf("range scan rows = %d, reference = %d", len(res.Rows), len(ref.Rows))
-	}
-	// Strict + redundant bounds combine into one probe.
-	qp = planFor(t, db, "SELECT title FROM movie WHERE year > 1960 AND year > 1962 AND year <= 1965")
-	if qp.Scans[0].Access != AccessIndexRange {
-		t.Fatalf("multi-bound access = %+v, want range scan", qp.Scans[0])
-	}
-	if got := qp.Scans[0].Lookup(); got != "> 1962 AND <= 1965" {
-		t.Errorf("combined bounds = %q, want the tightest interval", got)
+	if st := Stats(); st.RangeScans != 0 {
+		t.Errorf("RangeScans = %d, want 0", st.RangeScans)
 	}
 }
 
@@ -545,7 +566,7 @@ func TestPlanReorderStaysFreshAfterInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
-		t.Errorf("post-insert range rows = %d, want the new row (stale index served?)", len(res.Rows))
+		t.Errorf("post-insert range rows = %d, want the new row (stale plan served?)", len(res.Rows))
 	}
 }
 

@@ -36,11 +36,11 @@
 //
 // Generated SQL runs through a statistics-driven cost-based planner
 // (internal/sql): equality and IN predicates route through secondary hash
-// indexes, range predicates through sorted secondary indexes, MATCH
-// through full-text postings, single-table predicates are pushed below
-// joins, multi-joins are reordered by a Selinger-style search over
-// per-column statistics (row, NULL and distinct counts, min/max — built
-// on first use and kept exact by every insert), hash joins build on the
+// indexes, MATCH through full-text postings, every other single-table
+// predicate (ranges included) is a filter pushed below the joins,
+// multi-joins are reordered by a Selinger-style search over per-column
+// statistics (row, NULL and distinct counts, min/max — built on first use
+// and kept exact by every insert), hash joins build on the
 // estimated-smaller side, and PruneEmpty validation queries execute in
 // existence-only mode that stops at the first surviving tuple. ExplainSQL
 // and ExplainAnalyzeSQL (and Result.Plan) expose the chosen plan with
