@@ -94,7 +94,11 @@ func (g *Graph) AddEdge(from, to string, weight float64, label string) {
 // Neighbors returns the edges incident to v.
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
-// Tree is a connected subtree of a graph with its total edge cost.
+// Tree is a connected subtree of a graph with its total edge cost. A tree
+// is identified by its edge set alone: TopK roots every tree it returns at
+// its lowest-id terminal and costs it as the sum of its edge weights taken
+// in the canonical Edges order, so neither depends on how the tree was
+// found.
 type Tree struct {
 	Root  int
 	Edges []Edge // canonical: From < To, sorted
@@ -232,7 +236,7 @@ func (h *dpHeap) Pop() interface{} {
 }
 
 // TopK returns up to k minimum-cost trees connecting all terminal vertices,
-// in nondecreasing cost order. Terminals may repeat; unknown vertices cause
+// in nondecreasing cost order, each rooted at the lowest-id terminal. Terminals may repeat; unknown vertices cause
 // an error. With a single terminal the result is the trivial one-vertex
 // tree.
 func (g *Graph) TopK(terminals []string, k int, opt Options) ([]*Tree, error) {
@@ -346,7 +350,28 @@ func (g *Graph) TopK(terminals []string, k int, opt Options) ([]*Tree, error) {
 			}
 		}
 	}
-	return results, nil
+	return canonical(results, ids[0]), nil
+}
+
+// canonical re-roots each tree at root and re-costs it as edgeSum, then
+// stable-sorts by that cost.
+func canonical(trees []*Tree, root int) []*Tree {
+	out := make([]*Tree, len(trees))
+	for i, t := range trees {
+		out[i] = &Tree{Root: root, Edges: t.Edges, Cost: edgeSum(t.Edges), sig: t.sig}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
+	return out
+}
+
+// edgeSum is a tree's canonical cost: its edge weights summed in Edges
+// order.
+func edgeSum(edges []Edge) float64 {
+	c := 0.0
+	for _, e := range edges {
+		c += e.Weight
+	}
+	return c
 }
 
 func isDominated(t *Tree, emitted []*Tree) bool {
