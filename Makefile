@@ -67,9 +67,11 @@ bench-compare:
 # statement text the plan cache keys on (parse → print → parse is stable,
 # dropping LIMIT removes exactly its clause, planning never panics) and
 # the client's decoding of a statistics response (arbitrary bytes never
-# panic; what decodes re-encodes to a frame that decodes the same) and the
+# panic; what decodes re-encodes to a frame that decodes the same), the
 # serving path on arbitrary query text (Search on IMDB, then Execute of
-# the top-1 under LIMIT 20: no panic, every explanation's SQL parses).
+# the top-1 under LIMIT 20: no panic, every explanation's SQL parses) and
+# the Steiner decode (the top-k minimal trees of a small random graph
+# equal a brute force over its edge subsets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/transport
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePrint -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzColumnStatsDecode -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzSearch -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzSteinerTopK -fuzztime 10s ./internal/steiner
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

@@ -43,9 +43,14 @@ func BenchmarkComponent_ListViterbiK10(b *testing.B) {
 	}
 }
 
+// BenchmarkComponent_SteinerTopK measures one 3-terminal Steiner decode on
+// the Mondial schema graph; the memo is off, so every iteration decodes
+// (BenchmarkComponent_SteinerTopKMemoized measures the memo hit).
 func BenchmarkComponent_SteinerTopK(b *testing.B) {
 	db := datasets.Mondial(datasets.Config{Seed: 42, Scale: 1})
-	eng := engineFor(db)
+	opts := quest.Defaults()
+	opts.Backward.CacheSize = -1
+	eng := quest.Open(db, opts)
 	c := &core.Configuration{
 		Keywords: []string{"a", "b", "c"},
 		Terms: []core.Term{

@@ -6,11 +6,11 @@ import (
 	quest "repro"
 )
 
-// fuzzMaxKeywords bounds the keywords of a fuzzed query. The serving tier
-// admits up to 8, but the backward stage's cost grows steeply with the
-// number of terminals (a 6-terminal IMDB decode takes about a second), so
-// the fuzzer stays where one input costs milliseconds.
-const fuzzMaxKeywords = 4
+// fuzzMaxKeywords bounds the keywords of a fuzzed query at what the serving
+// tier admits (serve's maxKeywords). A search of 8 keywords costs a few
+// milliseconds, since the backward stage decodes only minimal Steiner
+// trees.
+const fuzzMaxKeywords = 8
 
 // FuzzSearch drives the serving path with arbitrary query text: Search on
 // an IMDB engine, then Execute of the top-1 explanation under LIMIT 20, as

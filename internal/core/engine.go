@@ -474,9 +474,9 @@ func (e *Engine) interpretationsWith(opts Options, configs []*Configuration) ([]
 
 	// Distinct configurations routinely pin the same terminal set (same
 	// attributes, different keywords). Group by terminal set first so each
-	// Steiner enumeration — the expensive step — runs at most once per
-	// search even when the group's members are dispatched concurrently,
-	// then share the resulting trees across the group's configurations.
+	// Steiner enumeration runs at most once per search even when the
+	// group's members are dispatched concurrently, then share the
+	// resulting trees across the group's configurations.
 	type decodeGroup struct {
 		terminals []string
 		members   []int // config indices, ascending

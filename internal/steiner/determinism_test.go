@@ -62,21 +62,3 @@ func TestTopKFreshGraphDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestMaxExpansionsBounds: a tiny expansion budget must terminate early
-// without error (possibly with fewer results).
-func TestMaxExpansionsBounds(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	g := randomGraph(r, 8, 8)
-	full, err := g.TopK([]string{"a", "h"}, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, err := g.TopK([]string{"a", "h"}, 5, Options{MaxExpansions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) > len(full) {
-		t.Fatal("budget cannot create more results")
-	}
-}

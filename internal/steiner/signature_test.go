@@ -40,7 +40,7 @@ func TestTopKEmittedTreesHaveSignatures(t *testing.T) {
 	g.AddEdge("a", "b", 1, "fk")
 	g.AddEdge("b", "c", 1, "fk")
 	g.AddEdge("a", "c", 3, "fk")
-	trees, err := g.TopK([]string{"a", "c"}, 3, Options{})
+	trees, err := g.TopK([]string{"a", "c"}, 3, Options{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,26 @@
-// Package steiner implements weighted graphs and top-k minimum-cost
-// connected tree (group Steiner tree) discovery.
+// Package steiner implements weighted graphs and top-k Steiner tree
+// enumeration.
 //
-// The algorithm is the dynamic-programming approach of Ding et al. (DPBF,
-// ICDE'07) generalized to enumerate trees in increasing cost order: states
-// T(v, S) — best trees rooted at vertex v covering terminal subset S — are
-// expanded best-first through edge growth and subset merge, and complete
-// trees (S = all terminals) are emitted as they surface. Following the
-// paper's extension, emitted trees that are sub-trees (edge subsets) of
-// previously emitted trees — or vice versa duplicates — can be filtered out
-// by the caller via the Dedup option.
+// TopK with Dedup returns the k cheapest minimal Steiner trees: trees
+// spanning every terminal whose leaves are all terminals. No such tree
+// contains another spanning the same terminals, so this is the paper's
+// "discard Steiner trees that are sub-trees of others" answer, and the
+// reduced answer trees of the BANKS family, which Kimelfeld & Sagiv (PODS
+// 2006) rank-enumerate. A best-first search builds each minimal tree
+// exactly once, adding one terminal at a time along a simple path
+// (minimal.go), so complete trees come out in cost order and the search
+// stops after the k-th.
 //
-// QUEST runs this over a graph of the database *schema* (attribute nodes,
-// PK-attribute and PK-FK edges), which is why exact DP is affordable: the
-// graph has tens of nodes, not millions of tuples.
+// TopK without Dedup runs the walk DP of Ding et al. (DPBF, ICDE'07)
+// relaxed to k pops per (vertex, terminal subset) state (walk.go). It
+// returns non-minimal trees and can miss minimal ones; it is kept as the
+// reference of the dedup-off ablation.
+//
+// QUEST runs TopK over a graph of the database *schema* (attribute nodes,
+// PK-attribute and PK-FK edges): tens of vertices, not millions of tuples.
 package steiner
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -95,14 +99,15 @@ func (g *Graph) AddEdge(from, to string, weight float64, label string) {
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
 // Tree is a connected subtree of a graph with its total edge cost. A tree
-// is identified by its edge set alone: TopK roots every tree it returns at
-// its lowest-id terminal and costs it as the sum of its edge weights taken
-// in the canonical Edges order, so neither depends on how the tree was
-// found.
+// TopK returns is determined by its edge set alone: neither its root nor
+// its cost depends on how it was found.
 type Tree struct {
+	// Root is the tree's lowest-id terminal (the core builder's FROM
+	// table).
 	Root  int
 	Edges []Edge // canonical: From < To, sorted
-	Cost  float64
+	// Cost is the sum of the edge weights, added in Edges order.
+	Cost float64
 
 	// sig memoizes Signature. It is computed once per tree: TopK fills it
 	// before a tree is emitted (and therefore before the tree can be shared
@@ -191,54 +196,50 @@ func edgeKey(e Edge) uint64 {
 	return uint64(uint32(f))<<32 | uint64(uint32(t))
 }
 
-// Options tunes TopK.
-type Options struct {
-	// Dedup drops trees that are sub-trees of previously emitted trees and
-	// exact duplicates (the paper's "mechanism for efficiently discarding
-	// Steiner Trees that are sub-trees of others previously computed").
-	Dedup bool
-	// MaxExpansions bounds DP state expansions (0 = default 1<<20).
-	MaxExpansions int
+// rank orders the search heaps' entries by cost, then by push sequence,
+// so ties break deterministically.
+type rank struct {
+	cost float64
+	seq  int
 }
 
-// dpState identifies a DP entry: best tree rooted at v covering terminal
-// subset mask.
-type dpState struct {
-	v    int
-	mask uint32
-}
+func (r *rank) ranked() *rank { return r }
 
-type dpEntry struct {
-	cost  float64
-	tree  *Tree
-	state dpState
-	// seq breaks heap ties deterministically.
-	seq int
-}
+// rankHeap is a container/heap of entries ordered by their rank.
+type rankHeap[T interface{ ranked() *rank }] []T
 
-type dpHeap []*dpEntry
-
-func (h dpHeap) Len() int { return len(h) }
-func (h dpHeap) Less(i, j int) bool {
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+func (h rankHeap[T]) Len() int { return len(h) }
+func (h rankHeap[T]) Less(i, j int) bool {
+	a, b := h[i].ranked(), h[j].ranked()
+	if a.cost != b.cost {
+		return a.cost < b.cost
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h dpHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dpHeap) Push(x interface{}) { *h = append(*h, x.(*dpEntry)) }
-func (h *dpHeap) Pop() interface{} {
+func (h rankHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *rankHeap[T]) Push(x any)   { *h = append(*h, x.(T)) }
+func (h *rankHeap[T]) Pop() any {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return e
 }
 
+// Options tunes TopK.
+type Options struct {
+	// Dedup returns only minimal trees, whose leaves are all terminals, so
+	// no returned tree contains another (the paper's "mechanism for
+	// efficiently discarding Steiner Trees that are sub-trees of others
+	// previously computed"). Off, TopK runs the walk DP, the reference of
+	// the dedup-off ablation.
+	Dedup bool
+}
+
 // TopK returns up to k minimum-cost trees connecting all terminal vertices,
-// in nondecreasing cost order, each rooted at the lowest-id terminal. Terminals may repeat; unknown vertices cause
-// an error. With a single terminal the result is the trivial one-vertex
-// tree.
+// in nondecreasing cost order, each rooted at the lowest-id terminal.
+// Terminals may repeat; unknown vertices cause an error, and so do more
+// than 30 distinct terminals. With a single terminal the result is the
+// trivial one-vertex tree.
 func (g *Graph) TopK(terminals []string, k int, opt Options) ([]*Tree, error) {
 	if k <= 0 {
 		return nil, nil
@@ -262,106 +263,16 @@ func (g *Graph) TopK(terminals []string, k int, opt Options) ([]*Tree, error) {
 	if len(ids) > 30 {
 		return nil, fmt.Errorf("steiner: too many terminals (%d > 30)", len(ids))
 	}
-	maxExp := opt.MaxExpansions
-	if maxExp <= 0 {
-		maxExp = 1 << 20
+	if opt.Dedup {
+		return g.minimalTopK(ids, k), nil
 	}
-
-	termMask := make(map[int]uint32, len(ids))
-	for i, id := range ids {
-		termMask[id] = 1 << uint(i)
-	}
-	full := uint32(1)<<uint(len(ids)) - 1
-
-	// popped[state] = number of times the state has been popped; we allow up
-	// to k pops per state to enumerate k-best trees (Eppstein-style
-	// relaxation of DPBF).
-	popped := make(map[dpState]int)
-	// entries[state] = trees already popped for the state, used to extend
-	// merges; entryOrder fixes the iteration order (map iteration is
-	// randomized and would leak into heap tie-breaks, making results
-	// nondeterministic across runs).
-	entries := make(map[dpState][]*Tree)
-	var entryOrder []dpState
-
-	h := &dpHeap{}
-	seq := 0
-	push := func(st dpState, tr *Tree) {
-		seq++
-		heap.Push(h, &dpEntry{cost: tr.Cost, tree: tr, state: st, seq: seq})
-	}
-
-	for _, id := range ids {
-		push(dpState{v: id, mask: termMask[id]}, &Tree{Root: id})
-	}
-
-	var results []*Tree
-	emittedSig := make(map[string]bool)
-	expansions := 0
-	for h.Len() > 0 && len(results) < k && expansions < maxExp {
-		e := heap.Pop(h).(*dpEntry)
-		st := e.state
-		if popped[st] >= k {
-			continue
-		}
-		popped[st]++
-		if len(entries[st]) == 0 {
-			entryOrder = append(entryOrder, st)
-		}
-		entries[st] = append(entries[st], e.tree)
-		expansions++
-
-		if st.mask == full {
-			// The same edge set can surface under several roots; results are
-			// always distinct trees. Dedup additionally drops sub-tree
-			// dominated results (the paper's pruning).
-			sig := e.tree.Signature()
-			if emittedSig[sig] {
-				continue
-			}
-			if opt.Dedup && isDominated(e.tree, results) {
-				continue
-			}
-			emittedSig[sig] = true
-			results = append(results, e.tree)
-			continue
-		}
-
-		// Edge growth: extend the tree by one incident edge, re-rooting at
-		// the new vertex.
-		for _, edge := range g.adj[st.v] {
-			nm := st.mask | termMask[edge.To]
-			nt := extendTree(e.tree, edge)
-			push(dpState{v: edge.To, mask: nm}, nt)
-		}
-
-		// Tree merge: combine with previously popped trees rooted at the
-		// same vertex covering a disjoint terminal subset.
-		for _, other := range entryOrder {
-			if other.v != st.v || other.mask&st.mask != 0 {
-				continue
-			}
-			for _, ot := range entries[other] {
-				mt, ok := mergeTrees(e.tree, ot)
-				if !ok {
-					continue
-				}
-				push(dpState{v: st.v, mask: st.mask | other.mask}, mt)
-			}
-		}
-	}
-	return canonical(results, ids[0]), nil
+	return canonical(g.walkTopK(ids, k), ids[0]), nil
 }
 
-// canonical re-roots each tree at root and re-costs it as edgeSum, then
-// stable-sorts by that cost.
-func canonical(trees []*Tree, root int) []*Tree {
-	out := make([]*Tree, len(trees))
-	for i, t := range trees {
-		out[i] = &Tree{Root: root, Edges: t.Edges, Cost: edgeSum(t.Edges), sig: t.sig}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+// sortByCost stable-sorts trees by Cost.
+func sortByCost(trees []*Tree) []*Tree {
+	sort.SliceStable(trees, func(i, j int) bool { return trees[i].Cost < trees[j].Cost })
+	return trees
 }
 
 // edgeSum is a tree's canonical cost: its edge weights summed in Edges
@@ -372,64 +283,6 @@ func edgeSum(edges []Edge) float64 {
 		c += e.Weight
 	}
 	return c
-}
-
-func isDominated(t *Tree, emitted []*Tree) bool {
-	for _, p := range emitted {
-		if t.IsSubtreeOf(p) || p.IsSubtreeOf(t) {
-			return true
-		}
-		if t.Signature() == p.Signature() {
-			return true
-		}
-	}
-	return false
-}
-
-func extendTree(t *Tree, e Edge) *Tree {
-	ne := canonEdge(e)
-	// Reject if the edge is already present (cycle via same edge).
-	for _, x := range t.Edges {
-		if x.From == ne.From && x.To == ne.To {
-			// Re-rooting without adding the edge again.
-			return &Tree{Root: e.To, Edges: t.Edges, Cost: t.Cost}
-		}
-	}
-	edges := make([]Edge, 0, len(t.Edges)+1)
-	edges = append(edges, t.Edges...)
-	edges = append(edges, ne)
-	sortEdges(edges)
-	return &Tree{Root: e.To, Edges: edges, Cost: t.Cost + e.Weight}
-}
-
-// mergeTrees unions two trees rooted at the same vertex; fails when their
-// edge sets overlap or the union would contain a cycle.
-func mergeTrees(a, b *Tree) (*Tree, bool) {
-	set := make(map[uint64]bool, len(a.Edges))
-	for _, e := range a.Edges {
-		set[edgeKey(e)] = true
-	}
-	edges := make([]Edge, 0, len(a.Edges)+len(b.Edges))
-	edges = append(edges, a.Edges...)
-	cost := a.Cost
-	for _, e := range b.Edges {
-		if set[edgeKey(e)] {
-			return nil, false
-		}
-		edges = append(edges, e)
-		cost += e.Weight
-	}
-	// Cycle check: |V| must equal |E| + 1 for a tree.
-	verts := map[int]bool{a.Root: true}
-	for _, e := range edges {
-		verts[e.From] = true
-		verts[e.To] = true
-	}
-	if len(verts) != len(edges)+1 {
-		return nil, false
-	}
-	sortEdges(edges)
-	return &Tree{Root: a.Root, Edges: edges, Cost: cost}, true
 }
 
 func canonEdge(e Edge) Edge {

@@ -3,6 +3,7 @@ package steiner
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -25,6 +26,13 @@ func diamondGraph() *Graph {
 	g.AddEdge("a", "c", 1, "e")
 	g.AddEdge("c", "d", 2, "e")
 	return g
+}
+
+// forModes runs f under both of TopK's decoders: the walk DP (Dedup off)
+// and the minimal-tree search (Dedup on).
+func forModes(t *testing.T, f func(t *testing.T, opt Options)) {
+	t.Run("walk", func(t *testing.T) { f(t, Options{}) })
+	t.Run("minimal", func(t *testing.T) { f(t, Options{Dedup: true}) })
 }
 
 func TestGraphBasics(t *testing.T) {
@@ -54,59 +62,65 @@ func TestGraphBasics(t *testing.T) {
 }
 
 func TestTopKShortestPathBetweenTwoTerminals(t *testing.T) {
-	g := diamondGraph()
-	trees, err := g.TopK([]string{"a", "d"}, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 2 {
-		t.Fatalf("got %d trees, want 2", len(trees))
-	}
-	if trees[0].Cost != 2 {
-		t.Fatalf("best cost = %v, want 2 (a-b-d)", trees[0].Cost)
-	}
-	if trees[1].Cost != 3 {
-		t.Fatalf("second cost = %v, want 3 (a-c-d)", trees[1].Cost)
-	}
-	if !trees[0].ContainsAll([]int{g.Vertex("a"), g.Vertex("d")}) {
-		t.Fatal("tree must contain terminals")
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		g := diamondGraph()
+		trees, err := g.TopK([]string{"a", "d"}, 2, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) != 2 {
+			t.Fatalf("got %d trees, want 2", len(trees))
+		}
+		if trees[0].Cost != 2 {
+			t.Fatalf("best cost = %v, want 2 (a-b-d)", trees[0].Cost)
+		}
+		if trees[1].Cost != 3 {
+			t.Fatalf("second cost = %v, want 3 (a-c-d)", trees[1].Cost)
+		}
+		if !trees[0].ContainsAll([]int{g.Vertex("a"), g.Vertex("d")}) {
+			t.Fatal("tree must contain terminals")
+		}
+	})
 }
 
 func TestTopKSingleTerminal(t *testing.T) {
-	g := pathGraph()
-	trees, err := g.TopK([]string{"c"}, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) == 0 {
-		t.Fatal("single terminal must yield the trivial tree")
-	}
-	if trees[0].Cost != 0 || len(trees[0].Edges) != 0 {
-		t.Fatalf("trivial tree = %+v", trees[0])
-	}
-	if trees[0].Root != g.Vertex("c") {
-		t.Fatal("trivial tree rooted wrong")
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		g := pathGraph()
+		trees, err := g.TopK([]string{"c"}, 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) == 0 {
+			t.Fatal("single terminal must yield the trivial tree")
+		}
+		if trees[0].Cost != 0 || len(trees[0].Edges) != 0 {
+			t.Fatalf("trivial tree = %+v", trees[0])
+		}
+		if trees[0].Root != g.Vertex("c") {
+			t.Fatal("trivial tree rooted wrong")
+		}
+	})
 }
 
 func TestTopKThreeTerminalsStar(t *testing.T) {
-	// Star: hub h connects x, y, z; terminals x,y,z -> tree must include hub.
-	g := NewGraph()
-	g.AddEdge("x", "h", 1, "e")
-	g.AddEdge("y", "h", 1, "e")
-	g.AddEdge("z", "h", 1, "e")
-	trees, err := g.TopK([]string{"x", "y", "z"}, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 1 || trees[0].Cost != 3 {
-		t.Fatalf("trees = %+v", trees)
-	}
-	verts := trees[0].Vertices()
-	if len(verts) != 4 {
-		t.Fatalf("tree must include the Steiner point: %v", verts)
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		// Star: hub h connects x, y, z; terminals x,y,z -> tree must include hub.
+		g := NewGraph()
+		g.AddEdge("x", "h", 1, "e")
+		g.AddEdge("y", "h", 1, "e")
+		g.AddEdge("z", "h", 1, "e")
+		trees, err := g.TopK([]string{"x", "y", "z"}, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) != 1 || trees[0].Cost != 3 {
+			t.Fatalf("trees = %+v", trees)
+		}
+		verts := trees[0].Vertices()
+		if len(verts) != 4 {
+			t.Fatalf("tree must include the Steiner point: %v", verts)
+		}
+	})
 }
 
 func TestTopKUnknownTerminal(t *testing.T) {
@@ -117,15 +131,17 @@ func TestTopKUnknownTerminal(t *testing.T) {
 }
 
 func TestTopKDisconnected(t *testing.T) {
-	g := pathGraph()
-	g.AddVertex("island")
-	trees, err := g.TopK([]string{"a", "island"}, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 0 {
-		t.Fatalf("disconnected terminals must yield no tree, got %d", len(trees))
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		g := pathGraph()
+		g.AddVertex("island")
+		trees, err := g.TopK([]string{"a", "island"}, 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) != 0 {
+			t.Fatalf("disconnected terminals must yield no tree, got %d", len(trees))
+		}
+	})
 }
 
 func TestTopKZeroOrNegativeK(t *testing.T) {
@@ -139,54 +155,62 @@ func TestTopKZeroOrNegativeK(t *testing.T) {
 }
 
 func TestTopKDuplicateTerminals(t *testing.T) {
-	g := pathGraph()
-	trees, err := g.TopK([]string{"a", "a", "c", "c"}, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 1 || trees[0].Cost != 2 {
-		t.Fatalf("trees = %+v", trees)
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		g := pathGraph()
+		trees, err := g.TopK([]string{"a", "a", "c", "c"}, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) != 1 || trees[0].Cost != 2 {
+			t.Fatalf("trees = %+v", trees)
+		}
+	})
 }
 
 func TestTopKCostsNondecreasing(t *testing.T) {
-	g := diamondGraph()
-	g.AddEdge("b", "c", 0.5, "e")
-	trees, err := g.TopK([]string{"a", "d"}, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(trees); i++ {
-		if trees[i].Cost < trees[i-1].Cost-1e-12 {
-			t.Fatalf("costs decrease at %d: %v < %v", i, trees[i].Cost, trees[i-1].Cost)
+	forModes(t, func(t *testing.T, opt Options) {
+		g := diamondGraph()
+		g.AddEdge("b", "c", 0.5, "e")
+		trees, err := g.TopK([]string{"a", "d"}, 5, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i := 1; i < len(trees); i++ {
+			if trees[i].Cost < trees[i-1].Cost-1e-12 {
+				t.Fatalf("costs decrease at %d: %v < %v", i, trees[i].Cost, trees[i-1].Cost)
+			}
+		}
+	})
 }
 
+// TestDedupDropsSubtrees: with Dedup, TopK returns minimal trees only, so
+// no result contains another. On the triangle a-b (1), b-c (1), a-c (2.5)
+// with terminals {a, c}, both minimal trees come back, a-b-c first and a-c
+// second. The walk DP (TopK without Dedup) returns only a-b-c: re-rooted
+// copies of that tree use up every pop of the full-mask states.
 func TestDedupDropsSubtrees(t *testing.T) {
-	// With Dedup, a tree that is a subtree of an earlier (cheaper) result
-	// must not be emitted. Construct: terminals {a}; any bigger tree
-	// containing the trivial answer is dominated. Use two terminals with
-	// shared prefix paths instead.
 	g := NewGraph()
 	g.AddEdge("a", "b", 1, "e")
 	g.AddEdge("b", "c", 1, "e")
-	g.AddEdge("a", "c", 2.5, "e") // alternative route
-	withDedup, err := g.TopK([]string{"a", "c"}, 5, Options{Dedup: true})
+	g.AddEdge("a", "c", 2.5, "e")
+	trees, err := g.TopK([]string{"a", "c"}, 5, Options{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := g.TopK([]string{"a", "c"}, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
+	var sigs []string
+	for _, tr := range trees {
+		sigs = append(sigs, tr.Signature())
 	}
-	if len(withDedup) > len(without) {
-		t.Fatal("dedup cannot increase result count")
+	// a=0, b=1, c=2.
+	if want := []string{"0-1,1-2", "0-2"}; !reflect.DeepEqual(sigs, want) {
+		t.Fatalf("trees %v, want %v", sigs, want)
 	}
-	// No result may be a subtree of an earlier one.
-	for i := range withDedup {
+	if trees[0].Cost != 2 || trees[1].Cost != 2.5 {
+		t.Fatalf("costs %v, %v; want 2, 2.5", trees[0].Cost, trees[1].Cost)
+	}
+	for i := range trees {
 		for j := 0; j < i; j++ {
-			if withDedup[i].IsSubtreeOf(withDedup[j]) || withDedup[j].IsSubtreeOf(withDedup[i]) {
+			if trees[i].IsSubtreeOf(trees[j]) || trees[j].IsSubtreeOf(trees[i]) {
 				t.Fatalf("result %d and %d are nested", i, j)
 			}
 		}
@@ -240,76 +264,82 @@ func randomGraph(r *rand.Rand, n, extraEdges int) *Graph {
 }
 
 func TestTopKOptimalAgainstBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + r.Intn(3)
-		g := randomGraph(r, n, r.Intn(3))
-		if g.EdgeCount() > 12 {
-			continue
-		}
-		nt := 2 + r.Intn(2)
-		terms := map[string]bool{}
-		for len(terms) < nt {
-			terms[string(rune('a'+r.Intn(n)))] = true
-		}
-		var list []string
-		for v := range terms {
-			list = append(list, v)
-		}
-		want, ok := bruteForceBest(t, g, list)
-		got, err := g.TopK(list, 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: TopK found tree, brute force none", trial)
+	forModes(t, func(t *testing.T, opt Options) {
+		r := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 40; trial++ {
+			n := 4 + r.Intn(3)
+			g := randomGraph(r, n, r.Intn(3))
+			if g.EdgeCount() > 12 {
+				continue
 			}
-			continue
+			nt := 2 + r.Intn(2)
+			terms := map[string]bool{}
+			for len(terms) < nt {
+				terms[string(rune('a'+r.Intn(n)))] = true
+			}
+			var list []string
+			for v := range terms {
+				list = append(list, v)
+			}
+			want, ok := bruteForceBest(t, g, list)
+			got, err := g.TopK(list, 1, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if len(got) != 0 {
+					t.Fatalf("trial %d: TopK found tree, brute force none", trial)
+				}
+				continue
+			}
+			if len(got) == 0 {
+				t.Fatalf("trial %d: TopK found nothing, brute force cost %v", trial, want.Cost)
+			}
+			if math.Abs(got[0].Cost-want.Cost) > 1e-9 {
+				t.Fatalf("trial %d: TopK cost %v, optimal %v", trial, got[0].Cost, want.Cost)
+			}
 		}
-		if len(got) == 0 {
-			t.Fatalf("trial %d: TopK found nothing, brute force cost %v", trial, want.Cost)
-		}
-		if math.Abs(got[0].Cost-want.Cost) > 1e-9 {
-			t.Fatalf("trial %d: TopK cost %v, optimal %v", trial, got[0].Cost, want.Cost)
-		}
-	}
+	})
 }
 
 func TestTreesAreValidTrees(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(r, 6, 4)
-		trees, err := g.TopK([]string{"a", "d", "f"}, 6, Options{})
-		if err != nil {
-			t.Fatal(err)
+	forModes(t, func(t *testing.T, opt Options) {
+		r := rand.New(rand.NewSource(13))
+		for trial := 0; trial < 20; trial++ {
+			g := randomGraph(r, 6, 4)
+			trees, err := g.TopK([]string{"a", "d", "f"}, 6, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range trees {
+				verts := tr.Vertices()
+				if len(verts) != len(tr.Edges)+1 {
+					t.Fatalf("trial %d: not a tree: %d vertices, %d edges", trial, len(verts), len(tr.Edges))
+				}
+				sum := 0.0
+				for _, e := range tr.Edges {
+					sum += e.Weight
+				}
+				if math.Abs(sum-tr.Cost) > 1e-9 {
+					t.Fatalf("trial %d: cost %v != edge sum %v", trial, tr.Cost, sum)
+				}
+			}
 		}
-		for _, tr := range trees {
-			verts := tr.Vertices()
-			if len(verts) != len(tr.Edges)+1 {
-				t.Fatalf("trial %d: not a tree: %d vertices, %d edges", trial, len(verts), len(tr.Edges))
-			}
-			sum := 0.0
-			for _, e := range tr.Edges {
-				sum += e.Weight
-			}
-			if math.Abs(sum-tr.Cost) > 1e-9 {
-				t.Fatalf("trial %d: cost %v != edge sum %v", trial, tr.Cost, sum)
-			}
-		}
-	}
+	})
 }
 
 func TestNegativeWeightClamped(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge("a", "b", -5, "e")
-	trees, err := g.TopK([]string{"a", "b"}, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trees[0].Cost != 0 {
-		t.Fatalf("negative weight must clamp to 0, cost = %v", trees[0].Cost)
-	}
+	forModes(t, func(t *testing.T, opt Options) {
+		g := NewGraph()
+		g.AddEdge("a", "b", -5, "e")
+		trees, err := g.TopK([]string{"a", "b"}, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trees[0].Cost != 0 {
+			t.Fatalf("negative weight must clamp to 0, cost = %v", trees[0].Cost)
+		}
+	})
 }
 
 func TestTooManyTerminals(t *testing.T) {
@@ -415,4 +445,31 @@ func connected(edges []Edge, start int, verts map[int]bool) bool {
 		}
 	}
 	return len(visited) == len(verts)
+}
+
+// TestTopKRanksByCanonicalCost: the search pops trees by their cost summed
+// in construction order, but ranks them by the canonical cost (summed in
+// sorted edge order), and the two can differ in the last bits. Here the
+// path a-p-q-r-s-d sums to 2.5000000000000004 as built and to
+// 2.4999999999999996 canonically, and the direct edge a-d costs 2.5
+// either way, so the direct tree pops first; the top-1 must still be the
+// path.
+func TestTopKRanksByCanonicalCost(t *testing.T) {
+	g := NewGraph()
+	for _, v := range []string{"a", "d", "p", "q", "r", "s"} {
+		g.AddVertex(v)
+	}
+	g.AddEdge("a", "d", 2.5, "e")
+	g.AddEdge("a", "p", 0.35, "e")
+	g.AddEdge("p", "q", 1.1, "e")
+	g.AddEdge("q", "r", 0.05, "e")
+	g.AddEdge("r", "s", 0.4, "e")
+	g.AddEdge("s", "d", 0.6, "e")
+	trees, err := g.TopK([]string{"a", "d"}, 1, Options{Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != 1 || trees[0].Signature() != "0-2,1-5,2-3,3-4,4-5" || trees[0].Cost != 2.4999999999999996 {
+		t.Fatalf("top-1 = %+v, want the path a-p-q-r-s-d at 2.4999999999999996", trees)
+	}
 }

@@ -1,8 +1,11 @@
 package quest_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	quest "repro"
 )
@@ -156,5 +159,34 @@ func TestAllThreeDatasetsSearchable(t *testing.T) {
 		if len(results) == 0 {
 			t.Fatalf("%s: no explanations for %q", name, pair.query)
 		}
+	}
+}
+
+// TestSearchEightKeywordsUnderDeadline: a search of 8 keywords, the most
+// the serving tier admits, with every cache off, returns well inside its
+// 100 ms deadline: the backward stage's minimal-tree decode does not climb
+// steeply with the number of terminals.
+func TestSearchEightKeywordsUnderDeadline(t *testing.T) {
+	db := quest.BuildIMDB(quest.DatasetConfig{Seed: 42, Scale: 1})
+	opts := quest.Defaults()
+	opts.QueryCacheSize = -1
+	opts.Backward.CacheSize = -1
+	eng := quest.Open(db, opts)
+	const q = "smith drama actor studio prize produced born category"
+	if n := len(quest.Tokenize(q)); n != 8 {
+		t.Fatalf("%q has %d keywords, want 8", q, n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	exs, err := eng.SearchCtx(ctx, q)
+	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
+		t.Fatalf("8-keyword search returned after %v, want < 200ms", elapsed)
+	}
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatal(err)
+	}
+	if err == nil && len(exs) == 0 {
+		t.Fatalf("%q: no explanations", q)
 	}
 }
